@@ -1,20 +1,18 @@
-//! Measure host-side simulator throughput: the three execution tiers
-//! (fast predecoded loop, retained reference loop, compiled block-threaded
-//! closures) on the Clack router, the deep-lock kernel boot, and the demo
-//! web server.
+//! Measure host-side simulator throughput: the two execution tiers (fast
+//! predecoded loop, retained reference loop) on the Clack router, the
+//! deep-lock kernel boot, and the demo web server.
 //!
 //! ```text
 //! cargo run --release -p bench --bin simperf [-- --packets N] [--seed S]
-//!     [--smoke] [--exec fast|reference|compiled|all] [--json <path>]
-//!     [--baseline <path>]
+//!     [--smoke] [--json <path>] [--baseline <path>]
 //! ```
 //!
 //! Reports guest MIPS (millions of simulated instructions per host
-//! second), packets/sec, and each tier's speedup over reference. Exits
-//! nonzero if any tier's performance counters or guest-visible output
-//! diverge from the reference interpreter — the CI gate that pins every
-//! tier to the reference semantics. With `--baseline <BENCH_simperf.json>`
-//! it additionally gates the compiled tier's Clack-router MIPS against the
+//! second), packets/sec, and the fast tier's speedup over reference.
+//! Exits nonzero if the fast tier's performance counters or guest-visible
+//! output diverge from the reference interpreter — the CI gate that pins
+//! it to the reference semantics. With `--baseline <BENCH_simperf.json>`
+//! it additionally gates the fast tier's Clack-router MIPS against the
 //! committed schema-v2 baseline (fails below [`MIPS_GATE_RATIO`] of
 //! baseline; skipped on `--smoke` runs, whose tiny workloads make
 //! wall-clock noise dominate). `--smoke` is the small CI configuration;
@@ -25,10 +23,10 @@ use std::process::ExitCode;
 use bench::simperf::{self, SimperfOptions};
 use machine::ExecMode;
 
-/// A full run's compiled tier must reach this fraction of the committed
+/// A full run's fast tier must reach this fraction of the committed
 /// baseline's MIPS, or the `--baseline` gate fails. Generous because CI
-/// machines vary; a real regression (losing block fusion, falling back to
-/// per-instruction dispatch) costs far more than 40%.
+/// machines vary; a real regression (losing predecoded fetch or frame
+/// pooling) costs far more than 40%.
 const MIPS_GATE_RATIO: f64 = 0.6;
 
 struct Args {
@@ -36,19 +34,6 @@ struct Args {
     smoke: bool,
     json: Option<String>,
     baseline: Option<String>,
-}
-
-fn parse_exec(s: &str) -> Vec<ExecMode> {
-    if s == "all" {
-        return ExecMode::ALL.to_vec();
-    }
-    s.split(',')
-        .map(|part| {
-            ExecMode::parse(part).unwrap_or_else(|| {
-                panic!("--exec takes fast|reference|compiled|all (got `{part}`)")
-            })
-        })
-        .collect()
 }
 
 fn parse_args() -> Args {
@@ -66,10 +51,6 @@ fn parse_args() -> Args {
             "--baseline" => baseline = Some(args.next().expect("--baseline needs a path")),
             other if other.starts_with("--baseline=") => {
                 baseline = Some(other["--baseline=".len()..].to_string());
-            }
-            "--exec" => opts.execs = parse_exec(&args.next().expect("--exec needs a mode")),
-            other if other.starts_with("--exec=") => {
-                opts.execs = parse_exec(&other["--exec=".len()..]);
             }
             "--packets" => {
                 opts.packets = args
@@ -92,7 +73,7 @@ fn parse_args() -> Args {
             other => {
                 panic!(
                     "unknown argument `{other}` (expected --packets N, --seed S, --smoke, \
-                     --exec MODE, --json <path>, --baseline <path>)"
+                     --json <path>, --baseline <path>)"
                 )
             }
         }
@@ -100,13 +81,13 @@ fn parse_args() -> Args {
     Args { opts, smoke, json, baseline }
 }
 
-/// Pull `clack-router`'s compiled-tier MIPS out of a committed schema-v2
+/// Pull `clack-router`'s fast-tier MIPS out of a committed schema-v2
 /// `BENCH_simperf.json` without a JSON dependency: scan to the workload,
-/// then to its compiled tier row, then read the `"mips"` number.
-fn baseline_compiled_mips(text: &str) -> Option<f64> {
+/// then to its fast tier row, then read the `"mips"` number.
+fn baseline_fast_mips(text: &str) -> Option<f64> {
     let wl = text.find("\"name\": \"clack-router\"")?;
     let rest = &text[wl..];
-    let tier = rest.find("\"exec\": \"compiled\"")?;
+    let tier = rest.find("\"exec\": \"fast\"")?;
     let rest = &rest[tier..];
     let mips = rest.find("\"mips\": ")?;
     let rest = &rest[mips + "\"mips\": ".len()..];
@@ -116,7 +97,7 @@ fn baseline_compiled_mips(text: &str) -> Option<f64> {
 
 fn main() -> ExitCode {
     let args = parse_args();
-    let tier_names: Vec<&str> = args.opts.execs.iter().map(|e| e.as_str()).collect();
+    let tier_names = [ExecMode::Fast.as_str(), ExecMode::Reference.as_str()];
     println!("simperf: interpreter throughput, tiers [{}]", tier_names.join(", "));
     println!("  ({} router packets, workload seed {:#x})\n", args.opts.packets, args.opts.seed);
 
@@ -148,44 +129,44 @@ fn main() -> ExitCode {
         println!("  (demo/ not present; demo-webserver workload skipped)");
     }
 
-    // --baseline: compiled-tier MIPS regression gate (full runs only).
+    // --baseline: fast-tier MIPS regression gate (full runs only).
     let mut mips_gate_failed = false;
     if let Some(path) = &args.baseline {
-        let compiled = report
+        let fast = report
             .workloads
             .iter()
             .find(|w| w.name == "clack-router")
-            .and_then(|w| w.tier(ExecMode::Compiled));
-        match (compiled, std::fs::read_to_string(path)) {
-            (_, Err(e)) => {
+            .and_then(|w| w.tier(ExecMode::Fast))
+            .expect("clack-router always has a fast row");
+        match std::fs::read_to_string(path) {
+            Err(e) => {
                 eprintln!("simperf: cannot read baseline {path}: {e}");
                 mips_gate_failed = true;
             }
-            (None, _) => println!("  (compiled tier not selected; MIPS gate skipped)"),
-            (Some(t), Ok(text)) => match baseline_compiled_mips(&text) {
+            Ok(text) => match baseline_fast_mips(&text) {
                 None => {
-                    eprintln!("simperf: no compiled clack-router MIPS in baseline {path} (schema v2 expected)");
+                    eprintln!("simperf: no fast clack-router MIPS in baseline {path} (schema v2 expected)");
                     mips_gate_failed = true;
                 }
                 Some(base) if args.smoke => {
                     println!(
-                        "  (smoke run: compiled {:.1} MIPS vs baseline {base:.1}, gate not enforced)",
-                        t.mips()
+                        "  (smoke run: fast {:.1} MIPS vs baseline {base:.1}, gate not enforced)",
+                        fast.mips()
                     );
                 }
                 Some(base) => {
                     let floor = base * MIPS_GATE_RATIO;
-                    if t.mips() < floor {
+                    if fast.mips() < floor {
                         eprintln!(
-                            "simperf: COMPILED-TIER MIPS REGRESSION: {:.1} < {floor:.1} \
+                            "simperf: FAST-TIER MIPS REGRESSION: {:.1} < {floor:.1} \
                              ({MIPS_GATE_RATIO} x baseline {base:.1})",
-                            t.mips()
+                            fast.mips()
                         );
                         mips_gate_failed = true;
                     } else {
                         println!(
-                            "  (MIPS gate: compiled {:.1} >= {floor:.1} = {MIPS_GATE_RATIO} x baseline {base:.1})",
-                            t.mips()
+                            "  (MIPS gate: fast {:.1} >= {floor:.1} = {MIPS_GATE_RATIO} x baseline {base:.1})",
+                            fast.mips()
                         );
                     }
                 }

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run --release -p bench --bin table_mc [-- --packets N] [--seed S]
-//!     [--smoke] [--exec fast|reference|compiled|all] [--json <path>]
+//!     [--smoke] [--json <path>]
 //! ```
 //!
 //! Reports wall cycles per packet (slowest core — the throughput number),
@@ -12,11 +12,10 @@
 //! coherence overhead), and the coherence columns (bus stall cycles per
 //! packet, coherence misses and invalidations per 1000 packets). Exits
 //! nonzero if either multi-core correctness gate fails on any row: the
-//! bit-identity replay of every selected tier against `reference`, or the
-//! sharded-vs-single-core output-multiset comparison. `--exec` picks the
-//! tiers in the identity gate (the measurement run uses the fastest
-//! selected tier; each JSON row records it in `"exec"`). `--smoke` is the
-//! small CI configuration.
+//! bit-identity replay of the `fast` tier against `reference`, or the
+//! sharded-vs-single-core output-multiset comparison. The measurement run
+//! uses the fast tier; each JSON row records it in `"exec"`. `--smoke` is
+//! the small CI configuration.
 
 use std::process::ExitCode;
 
@@ -28,19 +27,6 @@ struct Args {
     json: Option<String>,
 }
 
-fn parse_exec(s: &str) -> Vec<ExecMode> {
-    if s == "all" {
-        return ExecMode::ALL.to_vec();
-    }
-    s.split(',')
-        .map(|part| {
-            ExecMode::parse(part).unwrap_or_else(|| {
-                panic!("--exec takes fast|reference|compiled|all (got `{part}`)")
-            })
-        })
-        .collect()
-}
-
 fn parse_args() -> Args {
     let mut args = std::env::args().skip(1);
     let mut opts = McOptions::default();
@@ -50,10 +36,6 @@ fn parse_args() -> Args {
             "--json" => json = Some(args.next().expect("--json needs a path")),
             other if other.starts_with("--json=") => {
                 json = Some(other["--json=".len()..].to_string());
-            }
-            "--exec" => opts.execs = parse_exec(&args.next().expect("--exec needs a mode")),
-            other if other.starts_with("--exec=") => {
-                opts.execs = parse_exec(&other["--exec=".len()..]);
             }
             "--packets" => {
                 opts.packets = args
@@ -71,7 +53,7 @@ fn parse_args() -> Args {
             }
             "--smoke" => opts.packets = McOptions::smoke().packets,
             other => {
-                panic!("unknown argument `{other}` (expected --packets N, --seed S, --smoke, --exec MODE, --json <path>)")
+                panic!("unknown argument `{other}` (expected --packets N, --seed S, --smoke, --json <path>)")
             }
         }
     }
@@ -82,10 +64,11 @@ fn main() -> ExitCode {
     let args = parse_args();
     println!("table_mc: sharded Clack router scaling on MESI-coherent cores");
     println!(
-        "  ({} workload frames, seed {:#x}, tiers [{}])\n",
+        "  ({} workload frames, seed {:#x}, tiers [{}, {}])\n",
         args.opts.packets,
         args.opts.seed,
-        args.opts.execs.iter().map(|e| e.as_str()).collect::<Vec<_>>().join(", ")
+        ExecMode::Fast,
+        ExecMode::Reference
     );
 
     let report = table_mc(&args.opts);
@@ -125,16 +108,11 @@ fn main() -> ExitCode {
 
     if let Some(path) = &args.json {
         let mut out = format!(
-            "{{\n  \"version\": 2,\n  \"packets\": {},\n  \"seed\": {},\n  \"exec\": [{}],\n  \"rows\": [\n",
+            "{{\n  \"version\": 2,\n  \"packets\": {},\n  \"seed\": {},\n  \"exec\": [\"{}\", \"{}\"],\n  \"rows\": [\n",
             report.options.packets,
             report.options.seed,
-            report
-                .options
-                .execs
-                .iter()
-                .map(|e| format!("\"{e}\""))
-                .collect::<Vec<_>>()
-                .join(", "),
+            ExecMode::Fast,
+            ExecMode::Reference,
         );
         for (i, r) in report.rows.iter().enumerate() {
             out.push_str(&format!(

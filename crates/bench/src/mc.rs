@@ -6,11 +6,10 @@
 //! cycles = slowest core, total cycles = summed work, coherence stalls
 //! from the MESI bus), and then runs the CI gates:
 //!
-//! 1. **mode identity** — the same workload replayed under every selected
-//!    execution tier (`ExecMode::Fast`, `ExecMode::Compiled`) must produce
-//!    bit-identical output frames, per-core counters, and bus transaction
-//!    counts versus `ExecMode::Reference` (the multi-core extension of the
-//!    `simperf` divergence gate);
+//! 1. **mode identity** — the same workload replayed under
+//!    `ExecMode::Fast` must produce bit-identical output frames, per-core
+//!    counters, and bus transaction counts versus `ExecMode::Reference`
+//!    (the multi-core extension of the `simperf` divergence gate);
 //! 2. **multiset identity** — the sharded router must emit exactly the
 //!    single-core router's output multiset per port (sharding may reorder
 //!    packets, never alter or drop them).
@@ -32,20 +31,11 @@ pub struct McOptions {
     pub packets: usize,
     /// Workload RNG seed.
     pub seed: u64,
-    /// Execution tiers participating in the mode-identity gate. The
-    /// measurement run uses the fastest selected tier (guest cycles are
-    /// tier-independent, so the row's numbers do not change — only the
-    /// host time to produce them).
-    pub execs: Vec<ExecMode>,
 }
 
 impl Default for McOptions {
     fn default() -> Self {
-        McOptions {
-            packets: 512,
-            seed: WorkloadOptions::default().seed,
-            execs: ExecMode::ALL.to_vec(),
-        }
+        McOptions { packets: 512, seed: WorkloadOptions::default().seed }
     }
 }
 
@@ -74,8 +64,8 @@ pub fn mc_workload(opts: &McOptions) -> Vec<WorkItem> {
 pub struct McRow {
     /// Simulated cores sharing the bus.
     pub ncores: usize,
-    /// The execution tier that produced the measurement run (the fastest
-    /// selected tier; guest-visible numbers are tier-independent).
+    /// The execution tier that produced the measurement run (always
+    /// `ExecMode::Fast`; guest-visible numbers are tier-independent).
     pub exec: ExecMode,
     /// Packets in the timed batch.
     pub packets: u64,
@@ -98,7 +88,7 @@ pub struct McRow {
     pub invalidations_per_kpkt: u64,
     /// Bus transaction counts over the timed batch.
     pub bus: BusStats,
-    /// Gate 1: every selected tier's run was bit-identical to Reference.
+    /// Gate 1: the Fast run was bit-identical to Reference.
     pub modes_identical: bool,
     /// Gate 2: output multiset matched the single-core router.
     pub multiset_ok: bool,
@@ -178,30 +168,19 @@ impl McReport {
     }
 }
 
-/// The tier the measurement run uses: the fastest selected (compiled >
-/// fast > reference — guest numbers are tier-independent, host time is
-/// not).
-fn measure_exec(execs: &[ExecMode]) -> ExecMode {
-    [ExecMode::Compiled, ExecMode::Fast]
-        .into_iter()
-        .find(|e| execs.contains(e))
-        .unwrap_or(ExecMode::Reference)
-}
-
 /// Run the scaling table over [`CORE_COUNTS`].
 pub fn table_mc(opts: &McOptions) -> McReport {
     let work = mc_workload(opts);
     let oracle = single_core_multisets(&work);
-    let exec = measure_exec(&opts.execs);
     let mut rows: Vec<McRow> = Vec::new();
     for &ncores in CORE_COUNTS {
         let report = build_mc_router(ncores, false).expect("sharded router builds");
 
-        // The measurement run, in the fastest selected tier. `measure`
-        // injects the whole workload (warmup included), so draining the
-        // tx queues afterwards yields the full run's outputs for gate 2.
+        // The measurement run, on the fast tier. `measure` injects the
+        // whole workload (warmup included), so draining the tx queues
+        // afterwards yields the full run's outputs for gate 2.
         let mut h = MultiRouterHarness::new(&report, ncores).expect("sharded harness");
-        h.set_exec_mode(exec);
+        h.set_exec_mode(ExecMode::Fast);
         let m = h.measure(&work).expect("sharded router measures");
         let multiset_ok = (0..2).all(|p| {
             let mut got = h.collect(p);
@@ -209,14 +188,10 @@ pub fn table_mc(opts: &McOptions) -> McReport {
             got == oracle[p]
         });
 
-        // Gate 1: fresh harnesses, every selected tier versus the
-        // reference loop, bit-identity.
-        let reference = run_sharded(&report, ncores, ExecMode::Reference, &work);
-        let modes_identical = opts
-            .execs
-            .iter()
-            .filter(|e| **e != ExecMode::Reference)
-            .all(|e| run_sharded(&report, ncores, *e, &work) == reference);
+        // Gate 1: fresh harnesses, the fast tier versus the reference
+        // loop, bit-identity.
+        let modes_identical = run_sharded(&report, ncores, ExecMode::Fast, &work)
+            == run_sharded(&report, ncores, ExecMode::Reference, &work);
 
         let kpkt = |n: u64| n * 1000 / m.packets.max(1);
         let wall_base = rows

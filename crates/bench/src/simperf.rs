@@ -1,18 +1,17 @@
-//! Simulator-throughput benchmark: host wall-clock speed of the three
-//! execution tiers ([`machine::ExecMode::Fast`],
-//! [`machine::ExecMode::Reference`], [`machine::ExecMode::Compiled`]) on
-//! real workloads.
+//! Simulator-throughput benchmark: host wall-clock speed of the two
+//! execution tiers ([`machine::ExecMode::Fast`] and
+//! [`machine::ExecMode::Reference`]) on real workloads.
 //!
-//! Every workload runs end to end in each selected tier and the final
+//! Every workload runs end to end in both tiers and the fast tier's final
 //! [`PerfCounters`] and guest-visible output are compared against the
-//! reference tier — any divergence means a tier changed guest-visible
-//! behaviour, which is the CI gate (`simperf --json` exits nonzero on
-//! divergence). The reference tier always runs: it is the oracle the
-//! identity verdicts and the `speedup_vs_reference` column are computed
-//! against. Absolute throughput (guest MIPS, packets/sec) is reported
-//! per tier; the committed `BENCH_simperf.json` (schema v2) additionally
-//! gates the compiled tier's MIPS against its committed baseline on full
-//! (non-smoke) runs.
+//! reference tier — any divergence means the fast tier changed
+//! guest-visible behaviour, which is the CI gate (`simperf --json` exits
+//! nonzero on divergence). The reference tier is the oracle the identity
+//! verdicts and the `speedup_vs_reference` column are computed against.
+//! Absolute throughput (guest MIPS, packets/sec) is reported per tier;
+//! the committed `BENCH_simperf.json` (schema v2) additionally gates the
+//! fast tier's MIPS against its committed baseline on full (non-smoke)
+//! runs.
 
 use std::time::Instant;
 
@@ -21,25 +20,18 @@ use clack::{build_clack_router, ip_router};
 use knit::build;
 use machine::{ExecMode, Machine, PerfCounters};
 
-/// Workload sizing and tier selection for a simperf run.
+/// Workload sizing for a simperf run.
 #[derive(Debug, Clone)]
 pub struct SimperfOptions {
     /// Packets blasted through the Clack router.
     pub packets: usize,
     /// Workload RNG seed (forwarded to [`WorkloadOptions::seed`]).
     pub seed: u64,
-    /// Tiers to measure. [`ExecMode::Reference`] always runs (it is the
-    /// oracle); listing it here only controls whether it gets a row.
-    pub execs: Vec<ExecMode>,
 }
 
 impl Default for SimperfOptions {
     fn default() -> Self {
-        SimperfOptions {
-            packets: 2048,
-            seed: WorkloadOptions::default().seed,
-            execs: ExecMode::ALL.to_vec(),
-        }
+        SimperfOptions { packets: 2048, seed: WorkloadOptions::default().seed }
     }
 }
 
@@ -72,19 +64,19 @@ impl TierRun {
     }
 }
 
-/// All selected tiers' runs of one workload.
+/// Both tiers' runs of one workload.
 #[derive(Debug, Clone)]
 pub struct WorkloadResult {
     /// Workload label (stable across runs; part of the JSON schema).
     pub name: &'static str,
     /// Packets processed (0 for non-packet workloads).
     pub packets: u64,
-    /// One row per tier, in [`ExecMode::ALL`] order filtered by selection.
+    /// One row per tier: fast, then reference.
     pub tiers: Vec<TierRun>,
 }
 
 impl WorkloadResult {
-    /// This workload's row for `exec`, if it was selected.
+    /// This workload's row for `exec`.
     pub fn tier(&self, exec: ExecMode) -> Option<&TierRun> {
         self.tiers.iter().find(|t| t.exec == exec)
     }
@@ -117,12 +109,6 @@ impl SimperfReport {
             .flat_map(|w| w.tiers.iter().filter(|t| !t.identical).map(move |t| (w.name, t.exec)))
             .collect()
     }
-}
-
-/// The tiers a run measures: the selection in [`ExecMode::ALL`] order,
-/// with the reference oracle forced in.
-fn selected_tiers(execs: &[ExecMode]) -> Vec<ExecMode> {
-    ExecMode::ALL.into_iter().filter(|e| *e == ExecMode::Reference || execs.contains(e)).collect()
 }
 
 /// Drive the modular Clack router over `work` in `mode`: init, then inject
@@ -179,22 +165,16 @@ pub fn router_throughput(opts: &SimperfOptions) -> WorkloadResult {
         ..Default::default()
     });
     let (ref_wall, ref_ctr, ref_n, ref_frames) = run_router(&report, ExecMode::Reference, &work);
-    let tiers = selected_tiers(&opts.execs)
-        .into_iter()
-        .map(|exec| {
-            if exec == ExecMode::Reference {
-                return TierRun { exec, wall_s: ref_wall, counters: ref_ctr, identical: true };
-            }
-            let (wall_s, counters, n, frames) = run_router(&report, exec, &work);
-            TierRun {
-                exec,
-                wall_s,
-                counters,
-                identical: counters == ref_ctr && n == ref_n && frames == ref_frames,
-            }
-        })
-        .collect();
-    WorkloadResult { name: "clack-router", packets: ref_n, tiers }
+    let (wall_s, counters, n, frames) = run_router(&report, ExecMode::Fast, &work);
+    let fast = TierRun {
+        exec: ExecMode::Fast,
+        wall_s,
+        counters,
+        identical: counters == ref_ctr && n == ref_n && frames == ref_frames,
+    };
+    let reference =
+        TierRun { exec: ExecMode::Reference, wall_s: ref_wall, counters: ref_ctr, identical: true };
+    WorkloadResult { name: "clack-router", packets: ref_n, tiers: vec![fast, reference] }
 }
 
 /// Boot an image in `mode`, expecting exit code `want`.
@@ -208,40 +188,34 @@ fn run_boot(image: &cobj::Image, mode: ExecMode, want: i64) -> (f64, PerfCounter
     (wall_s, m.counters(), m.console.output.clone())
 }
 
-/// Boot `image` in every selected tier and compare against reference.
-fn boot_all(
-    name: &'static str,
-    image: &cobj::Image,
-    want: i64,
-    execs: &[ExecMode],
-) -> WorkloadResult {
+/// Boot `image` in both tiers and compare fast against reference.
+fn boot_both(name: &'static str, image: &cobj::Image, want: i64) -> WorkloadResult {
     let (ref_wall, ref_ctr, ref_out) = run_boot(image, ExecMode::Reference, want);
-    let tiers = selected_tiers(execs)
-        .into_iter()
-        .map(|exec| {
-            if exec == ExecMode::Reference {
-                return TierRun { exec, wall_s: ref_wall, counters: ref_ctr, identical: true };
-            }
-            let (wall_s, counters, out) = run_boot(image, exec, want);
-            TierRun { exec, wall_s, counters, identical: counters == ref_ctr && out == ref_out }
-        })
-        .collect();
-    WorkloadResult { name, packets: 0, tiers }
+    let (wall_s, counters, out) = run_boot(image, ExecMode::Fast, want);
+    let fast = TierRun {
+        exec: ExecMode::Fast,
+        wall_s,
+        counters,
+        identical: counters == ref_ctr && out == ref_out,
+    };
+    let reference =
+        TierRun { exec: ExecMode::Reference, wall_s: ref_wall, counters: ref_ctr, identical: true };
+    WorkloadResult { name, packets: 0, tiers: vec![fast, reference] }
 }
 
 /// The deep-lock kernel boot (~100 units, the constraint/analyzer/PGO
 /// workload) as a throughput workload.
-pub fn kernel_boot(execs: &[ExecMode]) -> WorkloadResult {
+pub fn kernel_boot() -> WorkloadResult {
     let (p, t, opts) = crate::deep_lock_kernel_inputs();
     let report = build(&p, &t, &opts).expect("deep-lock kernel builds");
-    boot_all("deep-lock-kernel", &report.image, 3, execs)
+    boot_both("deep-lock-kernel", &report.image, 3)
 }
 
 /// The on-disk `demo/` web server (the paper's Figure 5 configuration),
-/// booted in every selected tier — the "demo image" leg of the CI
-/// divergence gate. Returns `None` when the demo directory is not present
-/// (e.g. a pruned checkout); callers should note the skip.
-pub fn demo_boot(execs: &[ExecMode]) -> Option<WorkloadResult> {
+/// booted in both tiers — the "demo image" leg of the CI divergence gate.
+/// Returns `None` when the demo directory is not present (e.g. a pruned
+/// checkout); callers should note the skip.
+pub fn demo_boot() -> Option<WorkloadResult> {
     let demo = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../demo");
     let unit = std::fs::read_to_string(demo.join("webserver.unit")).ok()?;
     let mut p = knit::Program::new();
@@ -256,14 +230,14 @@ pub fn demo_boot(execs: &[ExecMode]) -> Option<WorkloadResult> {
     }
     let opts = knit::BuildOptions::new("WebServer", machine::runtime_symbols());
     let report = build(&p, &t, &opts).expect("demo builds");
-    Some(boot_all("demo-webserver", &report.image, 0, execs))
+    Some(boot_both("demo-webserver", &report.image, 0))
 }
 
 /// Run the full suite: Clack router, deep-lock kernel boot, and (when
 /// present) the demo web server.
 pub fn run(opts: SimperfOptions) -> SimperfReport {
-    let mut workloads = vec![router_throughput(&opts), kernel_boot(&opts.execs)];
-    if let Some(demo) = demo_boot(&opts.execs) {
+    let mut workloads = vec![router_throughput(&opts), kernel_boot()];
+    if let Some(demo) = demo_boot() {
         workloads.push(demo);
     }
     SimperfReport { options: opts, workloads }
@@ -280,24 +254,9 @@ mod tests {
         let router = &report.workloads[0];
         assert_eq!(router.name, "clack-router");
         assert!(router.packets >= 24);
-        assert_eq!(router.tiers.len(), 3);
+        assert_eq!(router.tiers.len(), 2);
         for t in &router.tiers {
             assert!(t.counters.instructions > 0, "{} ran no instructions", t.exec);
         }
-    }
-
-    #[test]
-    fn exec_selection_filters_rows_but_keeps_the_oracle() {
-        let report = run(SimperfOptions {
-            packets: 8,
-            execs: vec![ExecMode::Compiled],
-            ..Default::default()
-        });
-        let router = &report.workloads[0];
-        assert_eq!(
-            router.tiers.iter().map(|t| t.exec).collect::<Vec<_>>(),
-            vec![ExecMode::Reference, ExecMode::Compiled]
-        );
-        assert!(report.divergences().is_empty());
     }
 }

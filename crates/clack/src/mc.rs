@@ -45,8 +45,8 @@ pub fn build_mc_router(ncores: usize, flatten: bool) -> Result<BuildReport, Knit
 /// One multi-core measurement (a `table_mc` row).
 #[derive(Debug, Clone)]
 pub struct McMeasurement {
-    /// The execution tier the cores ran in (core 0's tier when the cores
-    /// were mixed). Guest-visible numbers are tier-independent; the label
+    /// The execution tier the cores ran in. Guest-visible numbers are
+    /// tier-independent; the label
     /// makes benchmark artifacts self-describing.
     pub exec: ExecMode,
     /// Packets processed in the timed batch.

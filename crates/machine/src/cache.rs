@@ -91,27 +91,6 @@ impl ICache {
         }
     }
 
-    /// Touch one predecoded line `count` times in a row: bump the access
-    /// counter by `count` and return whether the *first* access missed.
-    /// Exact for a direct-mapped cache — after the first access installs
-    /// the tag, the remaining `count - 1` accesses of the run are
-    /// guaranteed hits with no state change — which is how the compiled
-    /// tier charges a whole basic block's run-length-encoded fetch
-    /// traffic in one pass. Same caller contract as
-    /// [`ICache::access_line`]: skip entirely when `miss_stall` is zero.
-    #[inline]
-    pub(crate) fn access_line_run(&mut self, set: u32, tag: u64, count: u32) -> bool {
-        self.accesses += count as u64;
-        let slot = &mut self.tags[set as usize];
-        if *slot != tag {
-            *slot = tag;
-            self.misses += 1;
-            true
-        } else {
-            false
-        }
-    }
-
     /// A tagless placeholder left behind while the fast interpreter loop
     /// temporarily owns the real cache as a local (hot-loop counter
     /// locality); never accessed.

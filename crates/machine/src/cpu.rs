@@ -4,6 +4,11 @@
 //! per the [`CostModel`] and instruction-fetch stalls per the I-cache
 //! simulator. Guest code reaches the outside world only through the
 //! runtime intrinsics listed in [`INTRINSIC_NAMES`].
+//!
+//! Two tiers ([`ExecMode`]) run the same image: the reference loop in
+//! this file, the oracle that defines the counter semantics, and the
+//! predecoded fast loop in `exec/fast.rs`, the default. They are
+//! bit-identical in everything a guest or a measurement can observe.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -221,10 +226,10 @@ impl PerfCounters {
     }
 }
 
-/// Which execution tier runs guest code. All three produce bit-identical
+/// Which execution tier runs guest code. Both produce bit-identical
 /// results, faults, performance counters, and profiles; they differ only
-/// in host wall-clock (see DESIGN.md on interpreter internals and the
-/// compiled tier, and `bench --bin simperf` for the measured gaps).
+/// in host wall-clock (see DESIGN.md on interpreter internals, and
+/// `bench --bin simperf` for the measured gap).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
     /// The predecoded, frame-pooled hot loop (the default).
@@ -233,31 +238,14 @@ pub enum ExecMode {
     /// The original one-instruction-at-a-time loop, retained verbatim as
     /// the differential-testing oracle.
     Reference,
-    /// Basic blocks lowered once into direct-threaded chains of fused
-    /// closures; no per-instruction decode or dispatch.
-    Compiled,
 }
 
 impl ExecMode {
-    /// Every tier, in the order bench tables report them.
-    pub const ALL: [ExecMode; 3] = [ExecMode::Fast, ExecMode::Reference, ExecMode::Compiled];
-
-    /// The stable lowercase name used in CLI flags and JSON artifacts.
+    /// The stable lowercase name used in JSON artifacts.
     pub fn as_str(self) -> &'static str {
         match self {
             ExecMode::Fast => "fast",
             ExecMode::Reference => "reference",
-            ExecMode::Compiled => "compiled",
-        }
-    }
-
-    /// Parse a [`ExecMode::as_str`] name.
-    pub fn parse(s: &str) -> Option<ExecMode> {
-        match s {
-            "fast" => Some(ExecMode::Fast),
-            "reference" => Some(ExecMode::Reference),
-            "compiled" => Some(ExecMode::Compiled),
-            _ => None,
         }
     }
 }
@@ -304,9 +292,6 @@ pub struct Machine {
     /// Per-function predecoded fetch metadata for the fast loop (parallel
     /// to `image.funcs`); computed once at construction.
     pub(crate) fetch_plans: Rc<Vec<crate::exec::CodePlan>>,
-    /// Lazily-lowered closure chains for [`ExecMode::Compiled`], shared
-    /// across the cores of a [`crate::MultiMachine`].
-    pub(crate) compiled: Option<Rc<crate::exec::compiled::CompiledImage>>,
     /// Recycled register/argument buffers for the fast loop's frames.
     pub(crate) buf_pool: Vec<Vec<i64>>,
     /// When true, every call edge and per-function instruction count is
@@ -391,7 +376,6 @@ impl Machine {
             intrinsic_ops,
             exec_mode: ExecMode::default(),
             fetch_plans,
-            compiled: None,
             buf_pool: Vec::new(),
             profiling: false,
             prof_edges: BTreeMap::new(),
@@ -414,17 +398,12 @@ impl Machine {
         self.counters
     }
 
-    /// Select which execution tier runs guest code. All modes are
+    /// Select which execution tier runs guest code. Both modes are
     /// observationally identical (results, faults, counters, profiles);
     /// [`ExecMode::Reference`] exists for differential testing and as the
-    /// baseline for `simperf`'s throughput comparison. Selecting
-    /// [`ExecMode::Compiled`] lowers the image eagerly so the cost isn't
-    /// paid inside a measurement window.
+    /// baseline for `simperf`'s throughput comparison.
     pub fn set_exec_mode(&mut self, mode: ExecMode) {
         self.exec_mode = mode;
-        if mode == ExecMode::Compiled {
-            self.ensure_compiled();
-        }
     }
 
     /// The interpreter loop currently in use.
@@ -597,7 +576,6 @@ impl Machine {
         match self.exec_mode {
             ExecMode::Fast => self.run_fast(fi, args),
             ExecMode::Reference => self.run_reference(fi, args),
-            ExecMode::Compiled => self.run_compiled(fi, args),
         }
     }
 

@@ -1,22 +1,19 @@
-//! The shared micro-op IR and its decoder, plus the per-tier execute
-//! backends that consume it.
+//! The shared micro-op IR and its decoder, plus the fast execute backend
+//! that consumes it.
 //!
-//! Three execution tiers run guest code, all observationally identical
-//! (same results, same faults at the same `(func, pc)` sites,
-//! bit-identical performance counters and profiles — differentially
-//! tested in `tests/simperf.rs` and `tests/mc.rs`):
+//! Two execution tiers run guest code, observationally identical (same
+//! results, same faults at the same `(func, pc)` sites, bit-identical
+//! performance counters and profiles — differentially tested in
+//! `tests/simperf.rs` and `tests/mc.rs`):
 //!
 //! * [`Machine::run_reference`] — the original one-instruction-at-a-time
 //!   loop over [`cobj::image::RInstr`], kept verbatim in `cpu.rs` as the
-//!   oracle. It is the *definition* of the counter semantics; everything
-//!   below reproduces it.
+//!   oracle. It is the *definition* of the counter semantics; the fast
+//!   tier reproduces it.
 //! * [`fast`] — the predecoded interpreter: one [`UOp`] load and one
 //!   `match` per guest instruction.
-//! * [`compiled`] — the direct-threaded tier: basic blocks lowered at
-//!   compile time into fused chains of Rust closures, dispatched
-//!   block-to-block with no per-instruction decode or match at all.
 //!
-//! This module owns what the tiers share:
+//! This module owns what the fast tier precomputes:
 //!
 //! * **The [`UOp`] IR.** Every [`RInstr`] is decoded once at `Machine`
 //!   construction into a fixed-size micro-op: the opcode (with
@@ -27,11 +24,10 @@
 //!   ([`CodePlan::call_args`]) instead of a `Vec` inside the instruction.
 //! * **One counter-semantics definition.** [`static_cost`] computes, at
 //!   decode time, every deterministic cycle an instruction charges (base
-//!   cost plus operator/memory/call costs). The fast loop adds
-//!   `op.cost` per instruction; the compiled tier sums it over a basic
-//!   block and charges once per block — identical totals at every
-//!   observation point. Only two charges are dynamic and stay with the
-//!   executors: branch direction cost and I-cache miss stalls.
+//!   cost plus operator/memory/call costs). The fast loop adds `op.cost`
+//!   per instruction — identical totals at every observation point. Only
+//!   two charges are dynamic and stay with the executor: branch direction
+//!   cost and I-cache miss stalls.
 //! * **Predecoded fetch.** The I-cache lines each instruction touches are
 //!   a pure function of the (immutable) code layout and cache geometry,
 //!   so [`CodePlan::build_all`] computes every `(set, tag)` pair up
@@ -41,14 +37,13 @@
 //!   address arithmetic.
 //! * **Frame and argument pooling.** `Call` in the reference loop
 //!   allocates a fresh `Vec<i64>` for the arguments and `push_frame`
-//!   another for the registers, every single call. Both fast and compiled
-//!   tiers recycle them through `Machine::buf_pool` via [`Machine::make_frame`]
-//!   / `Machine::reclaim_frame`, which persist across `call`s — a router
+//!   another for the registers, every single call. The fast tier recycles
+//!   them through `Machine::buf_pool` via [`Machine::make_frame`] /
+//!   `Machine::reclaim_frame`, which persist across `call`s — a router
 //!   `step()` makes hundreds of guest calls and, warm, allocates nothing.
 //!
 //! [`RInstr`]: cobj::image::RInstr
 
-pub(crate) mod compiled;
 mod fast;
 
 use cobj::image::{CallTarget, Image, RInstr};
@@ -59,9 +54,7 @@ use crate::costs::CostModel;
 use crate::cpu::{Fault, Frame, Machine};
 
 /// Micro-op opcodes. Binary/unary operators and access widths are folded
-/// in so an interpreting tier dispatches exactly once per guest
-/// instruction (and the compiled tier specializes each closure on the
-/// full opcode).
+/// in so the fast tier dispatches exactly once per guest instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Op {
     /// `a = imm`.

@@ -133,40 +133,14 @@ impl MultiMachine {
         total
     }
 
-    /// Select the execution tier on every core. For the compiled tier,
-    /// core 0 lowers the image once and the other cores share it by `Rc`
-    /// (the lowering is a pure function of the image and cost model,
-    /// which cores already share — the same pattern as the predecoded
-    /// fetch plans).
+    /// Select the execution tier on every core.
     pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        if mode == ExecMode::Compiled {
-            self.cores[0].ensure_compiled();
-            let shared = self.cores[0].compiled.clone();
-            for m in &mut self.cores[1..] {
-                m.compiled = shared.clone();
-            }
-        }
         for m in &mut self.cores {
             m.set_exec_mode(mode);
         }
     }
 
-    /// Select the execution tier on one core. Tiers may be mixed per core
-    /// — all three charge identical costs, so the bus traffic and
-    /// coherence counters do not depend on the mix. Reuses a compiled
-    /// image another core already lowered rather than lowering again.
-    pub fn set_exec_mode_on(&mut self, c: usize, mode: ExecMode) {
-        if mode == ExecMode::Compiled && self.cores[c].compiled.is_none() {
-            if let Some(shared) = self.cores.iter().find_map(|m| m.compiled.clone()) {
-                self.cores[c].compiled = Some(shared);
-            }
-        }
-        self.cores[c].set_exec_mode(mode);
-    }
-
-    /// The execution tier core 0 runs in (the uniform tier when
-    /// [`MultiMachine::set_exec_mode`] was used; see
-    /// [`MultiMachine::set_exec_mode_on`] for mixing).
+    /// The execution tier core 0 runs in.
     pub fn exec_mode(&self) -> ExecMode {
         self.cores[0].exec_mode()
     }

@@ -1,14 +1,12 @@
-//! Differential tests: the fast interpreter and the compiled tier
-//! against the reference oracle.
+//! Differential tests: the fast interpreter against the reference oracle.
 //!
-//! `ExecMode::Fast` and `ExecMode::Compiled` must be *observationally
-//! identical* to `ExecMode::Reference` — same results, same faults at the
-//! same `(func, pc)` sites, bit-identical performance counters, profiles,
-//! memory images, device output, and traces. These tests drive all three
-//! tiers over randomly generated programs (which routinely divide by
-//! zero, read wild addresses, recurse forever, and spin until the step
-//! limit — including at pcs in the middle of a compiled basic block, so
-//! the compiled tier's lazy state materialization is exercised) and over
+//! `ExecMode::Fast` must be *observationally identical* to
+//! `ExecMode::Reference` — same results, same faults at the same
+//! `(func, pc)` sites, bit-identical performance counters, profiles,
+//! memory images, device output, and traces. These tests drive both tiers
+//! over randomly generated programs (which routinely divide by zero, read
+//! wild addresses, recurse forever, and spin until the step limit —
+//! including at pcs in the middle of a long straight-line run) and over
 //! the real Clack router, comparing every observable after every call.
 
 use proptest::prelude::*;
@@ -70,14 +68,12 @@ fn observe(image: &Image, mode: ExecMode, costs: CostModel, args: &[i64]) -> Obs
 
 fn assert_modes_agree(image: &Image, costs: CostModel, args: &[i64]) {
     let reference = observe(image, ExecMode::Reference, costs.clone(), args);
-    let fast = observe(image, ExecMode::Fast, costs.clone(), args);
-    let compiled = observe(image, ExecMode::Compiled, costs, args);
+    let fast = observe(image, ExecMode::Fast, costs, args);
     assert_eq!(fast, reference, "fast vs reference");
-    assert_eq!(compiled, reference, "compiled vs reference");
 }
 
 // ---------------------------------------------------------------------------
-// property: random programs behave identically under all three tiers
+// property: random programs behave identically under both tiers
 // ---------------------------------------------------------------------------
 
 proptest! {
@@ -103,10 +99,8 @@ proptest! {
         let costs = CostModel { icache, ..CostModel::default() };
 
         let reference = observe(&image, ExecMode::Reference, costs.clone(), &args);
-        let fast = observe(&image, ExecMode::Fast, costs.clone(), &args);
-        let compiled = observe(&image, ExecMode::Compiled, costs, &args);
+        let fast = observe(&image, ExecMode::Fast, costs, &args);
         prop_assert_eq!(&fast, &reference, "fast vs reference: {}", repro(seed));
-        prop_assert_eq!(&compiled, &reference, "compiled vs reference: {}", repro(seed));
     }
 }
 
@@ -144,13 +138,11 @@ fn div_by_zero_faults_at_identical_site() {
         reference.set_exec_mode(ExecMode::Reference);
         let rr = reference.call("f0", mode_args);
         assert_eq!(rr, want);
-        for mode in [ExecMode::Fast, ExecMode::Compiled] {
-            let mut m = Machine::new(image.clone()).unwrap();
-            m.set_exec_mode(mode);
-            let r = m.call("f0", mode_args);
-            assert_eq!(r, rr, "{mode} result");
-            assert_eq!(m.counters(), reference.counters(), "{mode} counters");
-        }
+        let mut m = Machine::new(image.clone()).unwrap();
+        m.set_exec_mode(ExecMode::Fast);
+        let r = m.call("f0", mode_args);
+        assert_eq!(r, rr, "fast result");
+        assert_eq!(m.counters(), reference.counters(), "fast counters");
     }
     assert_modes_agree(&image, CostModel::default(), &[9, 0]);
 }
@@ -248,10 +240,9 @@ fn bad_function_pointer_faults_identically() {
     );
 }
 
-/// Faults deep inside a long straight-line block: the compiled tier
-/// charges counters at block granularity, so a fault several
-/// instructions into a block must lazily materialize the exact prefix
-/// state (instruction count, cycles, I-cache traffic) before reporting.
+/// Faults deep inside a long straight-line run: a fault several
+/// instructions in must report the exact prefix state (instruction count,
+/// cycles, I-cache traffic) the reference charged before it.
 #[test]
 fn mid_block_div_fault_materializes_exact_state() {
     let mut o = ObjectFile::new("t.o");
@@ -262,8 +253,7 @@ fn mid_block_div_fault_materializes_exact_state() {
         nregs: 4,
         frame_size: 0,
         body: vec![
-            // Five straight-line ops, then the div: the whole body is one
-            // basic block, faulting at pc 5.
+            // Five straight-line ops, then the div, faulting at pc 5.
             Instr::Const { dst: 2, value: 3 },
             Instr::Bin { op: BinOp::Add, dst: 3, a: 0, b: 2 },
             Instr::Bin { op: BinOp::Mul, dst: 3, a: 3, b: 2 },
@@ -275,7 +265,7 @@ fn mid_block_div_fault_materializes_exact_state() {
     });
     let image = link_one(o, "f0");
     assert_modes_agree(&image, CostModel::default(), &[5, 0]);
-    let got = observe(&image, ExecMode::Compiled, CostModel::default(), &[5, 0]);
+    let got = observe(&image, ExecMode::Fast, CostModel::default(), &[5, 0]);
     assert!(
         matches!(got.results[0], Err(Fault::DivByZero { at: 5, .. })),
         "got {:?}",
@@ -303,7 +293,7 @@ fn mid_block_oob_store_materializes_exact_state() {
     });
     let image = link_one(o, "f0");
     assert_modes_agree(&image, CostModel::default(), &[11]);
-    let got = observe(&image, ExecMode::Compiled, CostModel::default(), &[11]);
+    let got = observe(&image, ExecMode::Fast, CostModel::default(), &[11]);
     assert!(
         matches!(got.results[0], Err(Fault::MemOutOfBounds { at: 4, .. })),
         "got {:?}",
@@ -311,10 +301,9 @@ fn mid_block_oob_store_materializes_exact_state() {
     );
 }
 
-/// The step limit trips in the middle of a long straight-line block
-/// (20 000 steps mod 7-instruction loop body = mid-block), exercising the
-/// compiled tier's stepwise-prefix fallback — including across the warm
-/// second call.
+/// The step limit trips in the middle of a long straight-line loop body
+/// (20 000 steps mod 7-instruction loop body = mid-body) — including
+/// across the warm second call.
 #[test]
 fn step_limit_mid_block_agrees_across_tiers() {
     let mut o = ObjectFile::new("t.o");
@@ -336,7 +325,7 @@ fn step_limit_mid_block_agrees_across_tiers() {
     });
     let image = link_one(o, "f0");
     assert_modes_agree(&image, CostModel::default(), &[]);
-    let got = observe(&image, ExecMode::Compiled, CostModel::default(), &[]);
+    let got = observe(&image, ExecMode::Fast, CostModel::default(), &[]);
     assert_eq!(got.results[0], Err(Fault::StepLimitExceeded));
     assert_eq!(got.counters.instructions, 40_000);
 }
@@ -403,10 +392,8 @@ fn run_router(mode: ExecMode) -> (Vec<Vec<Vec<u8>>>, Observed) {
 #[test]
 fn clack_router_is_bit_identical_across_modes() {
     let (frames_ref, reference) = run_router(ExecMode::Reference);
-    for mode in [ExecMode::Fast, ExecMode::Compiled] {
-        let (frames, obs) = run_router(mode);
-        assert_eq!(frames, frames_ref, "{mode}: routed frames must match");
-        assert_eq!(obs, reference, "{mode}: counters, profile, and device output must match");
-    }
+    let (frames, obs) = run_router(ExecMode::Fast);
+    assert_eq!(frames, frames_ref, "fast: routed frames must match");
+    assert_eq!(obs, reference, "fast: counters, profile, and device output must match");
     assert!(reference.counters.cycles > 0);
 }
