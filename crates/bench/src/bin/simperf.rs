@@ -21,6 +21,7 @@
 use std::process::ExitCode;
 
 use bench::simperf::{self, SimperfOptions};
+use machine::json::Json;
 use machine::ExecMode;
 
 /// A full run's fast tier must reach this fraction of the committed
@@ -81,18 +82,15 @@ fn parse_args() -> Args {
     Args { opts, smoke, json, baseline }
 }
 
-/// Pull `clack-router`'s fast-tier MIPS out of a committed schema-v2
-/// `BENCH_simperf.json` without a JSON dependency: scan to the workload,
-/// then to its fast tier row, then read the `"mips"` number.
+/// `clack-router`'s fast-tier MIPS in a committed schema-v2
+/// `BENCH_simperf.json`.
 fn baseline_fast_mips(text: &str) -> Option<f64> {
-    let wl = text.find("\"name\": \"clack-router\"")?;
-    let rest = &text[wl..];
-    let tier = rest.find("\"exec\": \"fast\"")?;
-    let rest = &rest[tier..];
-    let mips = rest.find("\"mips\": ")?;
-    let rest = &rest[mips + "\"mips\": ".len()..];
-    let end = rest.find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())?;
-    rest[..end].parse().ok()
+    fn row<'a>(rows: &'a Json, key: &str, want: &str) -> Option<&'a Json> {
+        rows.as_array()?.iter().find(|r| r.get(key).and_then(Json::as_str) == Some(want))
+    }
+    let doc = Json::parse(text).ok()?;
+    let workload = row(doc.get("workloads")?, "name", "clack-router")?;
+    row(workload.get("tiers")?, "exec", "fast")?.get("mips")?.as_f64()
 }
 
 fn main() -> ExitCode {
@@ -223,4 +221,14 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn reads_the_committed_baseline() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_simperf.json");
+        let text = std::fs::read_to_string(path).expect("BENCH_simperf.json");
+        assert_eq!(super::baseline_fast_mips(&text), Some(145.1));
+    }
 }

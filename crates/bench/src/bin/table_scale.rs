@@ -29,6 +29,7 @@ use std::time::Instant;
 use bench::legacy;
 use bench::synth::{generate, SynthParams};
 use knit::{BuildOptions, LintConfig};
+use machine::json::Json;
 
 struct Args {
     smoke: bool,
@@ -148,15 +149,13 @@ fn measure(n: usize, seed: u64, jobs: usize, run_legacy: bool) -> Row {
     }
 }
 
-/// Pull the largest row's `"speedup_vs_legacy"` out of a committed
-/// `BENCH_scale.json` without a JSON dependency.
+/// The `"speedup_vs_legacy"` of the `units`-sized row in a committed
+/// `BENCH_scale.json`.
 fn baseline_speedup(text: &str, units: usize) -> Option<f64> {
-    let row = text.find(&format!("\"units\": {units},"))?;
-    let rest = &text[row..];
-    let key = rest.find("\"speedup_vs_legacy\": ")?;
-    let rest = &rest[key + "\"speedup_vs_legacy\": ".len()..];
-    let end = rest.find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())?;
-    rest[..end].parse().ok()
+    let doc = Json::parse(text).ok()?;
+    let rows = doc.get("rows")?.as_array()?;
+    let row = rows.iter().find(|r| r.get("units").and_then(Json::as_u64) == Some(units as u64))?;
+    row.get("speedup_vs_legacy")?.as_f64()
 }
 
 /// A run's speedup may legitimately wobble with CI load; regress only when
@@ -306,4 +305,14 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn reads_the_committed_baseline() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scale.json");
+        let text = std::fs::read_to_string(path).expect("BENCH_scale.json");
+        assert_eq!(super::baseline_speedup(&text, 10_000), Some(5.32));
+    }
 }

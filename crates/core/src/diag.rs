@@ -9,6 +9,8 @@
 
 use std::fmt;
 
+use machine::json::{self, write_str};
+
 /// How serious a diagnostic is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
@@ -66,28 +68,23 @@ impl Diagnostic {
         out
     }
 
-    /// Render as a single-line JSON object (no external dependencies — the
-    /// escaping covers everything our messages can contain).
+    /// Render as a single-line JSON object with fixed key order; strings
+    /// are escaped by the shared [`machine::json::write_str`].
     pub fn json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"code\":\"{}\"", self.code));
-        out.push_str(&format!(",\"severity\":\"{}\"", self.severity));
-        out.push_str(&format!(",\"message\":\"{}\"", json_escape(&self.message)));
+        let mut out =
+            format!("{{\"code\":\"{}\",\"severity\":\"{}\",\"message\":", self.code, self.severity);
+        write_str(&mut out, &self.message);
         match &self.span {
-            Some((file, line, col)) => out.push_str(&format!(
-                ",\"span\":{{\"file\":\"{}\",\"line\":{line},\"col\":{col}}}",
-                json_escape(file)
-            )),
+            Some((file, line, col)) => {
+                out.push_str(",\"span\":{\"file\":");
+                write_str(&mut out, file);
+                out.push_str(&format!(",\"line\":{line},\"col\":{col}}}"));
+            }
             None => out.push_str(",\"span\":null"),
         }
-        out.push_str(",\"notes\":[");
-        for (i, n) in self.notes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\"", json_escape(n)));
-        }
-        out.push_str("]}");
+        out.push_str(",\"notes\":");
+        json::write_array(&mut out, &self.notes, |out, n| write_str(out, n));
+        out.push('}');
         out
     }
 }
@@ -260,22 +257,6 @@ pub fn diagnostics_markdown() -> String {
     out.push_str("| Code | Name | Summary |\n|------|------|---------|\n");
     for l in crate::analyze::LINTS {
         out.push_str(&format!("| {} | {} | {} |\n", l.code, l.name, l.summary.replace('|', "\\|")));
-    }
-    out
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
     }
     out
 }

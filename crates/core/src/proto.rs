@@ -11,12 +11,13 @@
 //! plus asynchronous [`Response::Event`] lines on watch-subscribed
 //! connections.
 //!
-//! The codec is hand-rolled in the same style as `machine::Profile`'s (the
-//! build environment vendors no serialization crates): a stable writer with
-//! fixed key order — so `crates/core/tests/proto.rs` can pin request and
-//! response bytes — and a small JSON value parser that keeps unsigned
-//! integers as exact `u64`s (session fingerprints and image hashes do not
-//! survive an `f64` round trip).
+//! The writers here fix key order — so `crates/core/tests/proto.rs` can pin
+//! request and response bytes — and escape strings with the shared
+//! [`machine::json::write_str`]. Decoding goes through
+//! [`machine::json::Json::parse`], which keeps unsigned integers as exact
+//! `u64`s (session fingerprints and image hashes do not survive an `f64`
+//! round trip), runs in linear time, and rejects hostile nesting with an
+//! `Err` — so a bad line is a `K0017`, never a dead server.
 //!
 //! Versioning: every connection opens with [`Request::Hello`] carrying
 //! [`VERSION`]; a mismatch is rejected with a `K0016` diagnostic before any
@@ -30,6 +31,7 @@ use std::time::Duration;
 use cobj::image::{CallTarget, RInstr, SymbolLoc};
 use cobj::ir::{BinOp, Reg, UnOp, Width};
 use cobj::{Image, ImageFunc};
+use machine::json::{self, write_str, Json, Object};
 
 use crate::analyze::LintLevel;
 use crate::diag::{Diagnostic, Severity};
@@ -403,10 +405,6 @@ impl Response {
 // serialization: stable writers
 // ---------------------------------------------------------------------------
 
-fn js(out: &mut String, s: &str) {
-    machine::profile::json_string(out, s);
-}
-
 fn lint_level_str(l: LintLevel) -> &'static str {
     match l {
         LintLevel::Allow => "allow",
@@ -424,49 +422,53 @@ fn lint_level_parse(s: &str) -> Result<LintLevel, String> {
     }
 }
 
-fn write_options(out: &mut String, o: &SessionOptions) {
-    out.push_str("{\"root\":");
-    js(out, &o.root);
-    out.push_str(",\"entry\":");
-    match &o.entry {
-        Some(e) => js(out, e),
+/// Open a wire object: `{"<tag>":"<kind>"`, then `,"<key>":<string>` for
+/// each field. The caller appends any further fields and the closing `}`.
+fn head(tag: &str, kind: &str, fields: &[(&str, &str)]) -> String {
+    let mut out = format!("{{\"{tag}\":\"{kind}\"");
+    for (key, value) in fields {
+        out.push_str(&format!(",\"{key}\":"));
+        write_str(&mut out, value);
+    }
+    out
+}
+
+fn write_opt_str(out: &mut String, s: Option<&str>) {
+    match s {
+        Some(s) => write_str(out, s),
         None => out.push_str("null"),
     }
+}
+
+fn write_strs<S: AsRef<str>>(out: &mut String, items: &[S]) {
+    json::write_array(out, items, |out, s| write_str(out, s.as_ref()));
+}
+
+fn write_options(out: &mut String, o: &SessionOptions) {
+    out.push_str("{\"root\":");
+    write_str(out, &o.root);
+    out.push_str(",\"entry\":");
+    write_opt_str(out, o.entry.as_deref());
     out.push_str(&format!(
         ",\"check_constraints\":{},\"flatten\":{}",
         o.check_constraints, o.flatten
     ));
-    out.push_str(",\"jobs\":");
     match o.jobs {
-        Some(j) => out.push_str(&j.to_string()),
-        None => out.push_str("null"),
+        Some(j) => out.push_str(&format!(",\"jobs\":{j}")),
+        None => out.push_str(",\"jobs\":null"),
     }
     out.push_str(",\"default_flags\":");
-    write_str_array(out, &o.default_flags);
+    write_strs(out, &o.default_flags);
     out.push_str(",\"runtime_symbols\":");
-    write_str_array(out, &o.runtime_symbols);
+    write_strs(out, &o.runtime_symbols);
     out.push_str(",\"profile\":");
-    match &o.profile {
-        Some(p) => js(out, p),
-        None => out.push_str("null"),
-    }
+    write_opt_str(out, o.profile.as_deref());
     out.push('}');
-}
-
-fn write_str_array(out: &mut String, items: &[String]) {
-    out.push('[');
-    for (i, s) in items.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        js(out, s);
-    }
-    out.push(']');
 }
 
 fn write_outcome(out: &mut String, o: &BuildOutcome) {
     out.push_str("{\"root\":");
-    js(out, &o.root);
+    write_str(out, &o.root);
     out.push_str(&format!(
         ",\"instances\":{},\"units_compiled\":{},\"units_reused\":{},\"objects\":{}",
         o.instances, o.units_compiled, o.units_reused, o.objects
@@ -476,17 +478,14 @@ fn write_outcome(out: &mut String, o: &BuildOutcome) {
         o.flatten_groups, o.text_size, o.cache_hits, o.cache_misses
     ));
     out.push_str(&format!(",\"jobs\":{},\"image_hash\":{}", o.jobs, o.image_hash));
-    out.push_str(",\"phases\":[");
-    for (i, (name, us)) in o.phases.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    out.push_str(",\"phases\":");
+    json::write_array(out, &o.phases, |out, (name, us)| {
         out.push('[');
-        js(out, name);
+        write_str(out, name);
         out.push_str(&format!(",{us}]"));
-    }
-    out.push_str("],\"schedule\":");
-    write_str_array(out, &o.schedule);
+    });
+    out.push_str(",\"schedule\":");
+    write_strs(out, &o.schedule);
     out.push_str(",\"constraints\":");
     match o.constraints {
         Some((c, v, a)) => {
@@ -494,28 +493,16 @@ fn write_outcome(out: &mut String, o: &BuildOutcome) {
         }
         None => out.push_str("null"),
     }
-    out.push_str(",\"exports\":[");
-    for (i, (k, v)) in o.exports.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    out.push_str(",\"exports\":");
+    json::write_array(out, &o.exports, |out, (k, v)| write_strs(out, &[k, v]));
+    out.push_str(",\"unit_compiles\":");
+    json::write_array(out, &o.unit_compiles, |out, (unit, us, reused)| {
         out.push('[');
-        js(out, k);
-        out.push(',');
-        js(out, v);
-        out.push(']');
-    }
-    out.push_str("],\"unit_compiles\":[");
-    for (i, (unit, us, reused)) in o.unit_compiles.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('[');
-        js(out, unit);
+        write_str(out, unit);
         out.push_str(&format!(",{us},{reused}]"));
-    }
-    out.push_str("],\"watched\":");
-    write_str_array(out, &o.watched);
+    });
+    out.push_str(",\"watched\":");
+    write_strs(out, &o.watched);
     out.push('}');
 }
 
@@ -523,148 +510,73 @@ impl Request {
     /// Serialize to the canonical single-line JSON wire form (no trailing
     /// newline; the transport adds framing).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
+        let obj = |kind, fields: &[(&str, &str)]| head("req", kind, fields) + "}";
         match self {
-            Request::Hello { version } => {
-                out.push_str(&format!("{{\"req\":\"hello\",\"version\":{version}}}"));
-            }
+            Request::Hello { version } => format!("{{\"req\":\"hello\",\"version\":{version}}}"),
             Request::Open { session, options } => {
-                out.push_str("{\"req\":\"open\",\"session\":");
-                js(&mut out, session);
+                let mut out = head("req", "open", &[("session", session)]);
                 out.push_str(",\"options\":");
                 write_options(&mut out, options);
-                out.push('}');
+                out + "}"
             }
             Request::LoadUnits { session, file, text } => {
-                out.push_str("{\"req\":\"load_units\",\"session\":");
-                js(&mut out, session);
-                out.push_str(",\"file\":");
-                js(&mut out, file);
-                out.push_str(",\"text\":");
-                js(&mut out, text);
-                out.push('}');
+                obj("load_units", &[("session", session), ("file", file), ("text", text)])
             }
             Request::UpdateUnit { session, file, text } => {
-                out.push_str("{\"req\":\"update_unit\",\"session\":");
-                js(&mut out, session);
-                out.push_str(",\"file\":");
-                js(&mut out, file);
-                out.push_str(",\"text\":");
-                js(&mut out, text);
-                out.push('}');
+                obj("update_unit", &[("session", session), ("file", file), ("text", text)])
             }
             Request::UpdateSource { session, path, text } => {
-                out.push_str("{\"req\":\"update_source\",\"session\":");
-                js(&mut out, session);
-                out.push_str(",\"path\":");
-                js(&mut out, path);
-                out.push_str(",\"text\":");
-                js(&mut out, text);
-                out.push('}');
+                obj("update_source", &[("session", session), ("path", path), ("text", text)])
             }
             Request::Build { session, want_image } => {
-                out.push_str("{\"req\":\"build\",\"session\":");
-                js(&mut out, session);
-                out.push_str(&format!(",\"want_image\":{want_image}}}"));
+                head("req", "build", &[("session", session)])
+                    + &format!(",\"want_image\":{want_image}}}")
             }
             Request::Lint { session, config } => {
-                out.push_str("{\"req\":\"lint\",\"session\":");
-                js(&mut out, session);
-                out.push_str(",\"config\":{\"overrides\":[");
-                for (i, (name, level)) in config.overrides.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('[');
-                    js(&mut out, name);
-                    out.push(',');
-                    js(&mut out, lint_level_str(*level));
-                    out.push(']');
-                }
-                out.push_str(&format!("],\"deny_warnings\":{}}}}}", config.deny_warnings));
+                let mut out = head("req", "lint", &[("session", session)]);
+                out.push_str(",\"config\":{\"overrides\":");
+                json::write_array(&mut out, &config.overrides, |out, (name, level)| {
+                    write_strs(out, &[name, lint_level_str(*level)])
+                });
+                out + &format!(",\"deny_warnings\":{}}}}}", config.deny_warnings)
             }
-            Request::Explain { code } => {
-                out.push_str("{\"req\":\"explain\",\"code\":");
-                js(&mut out, code);
-                out.push('}');
-            }
+            Request::Explain { code } => obj("explain", &[("code", code)]),
             Request::PgoSuggest { session, profile } => {
-                out.push_str("{\"req\":\"pgo_suggest\",\"session\":");
-                js(&mut out, session);
-                out.push_str(",\"profile\":");
-                js(&mut out, profile);
-                out.push('}');
+                obj("pgo_suggest", &[("session", session), ("profile", profile)])
             }
-            Request::Watch { session } => {
-                out.push_str("{\"req\":\"watch\",\"session\":");
-                js(&mut out, session);
-                out.push('}');
-            }
-            Request::Close { session } => {
-                out.push_str("{\"req\":\"close\",\"session\":");
-                js(&mut out, session);
-                out.push('}');
-            }
-            Request::Ping => out.push_str("{\"req\":\"ping\"}"),
-            Request::Shutdown => out.push_str("{\"req\":\"shutdown\"}"),
+            Request::Watch { session } => obj("watch", &[("session", session)]),
+            Request::Close { session } => obj("close", &[("session", session)]),
+            Request::Ping => obj("ping", &[]),
+            Request::Shutdown => obj("shutdown", &[]),
         }
-        out
     }
 
     /// Parse a request from its wire form.
     pub fn from_json(text: &str) -> Result<Request, String> {
         let v = Json::parse(text)?;
         let obj = v.as_object().ok_or("request must be a JSON object")?;
-        let kind = obj.get("req").and_then(Json::as_str).ok_or("request missing `req`")?;
-        let session = |obj: &BTreeMap<String, Json>| -> Result<String, String> {
-            Ok(obj
-                .get("session")
-                .and_then(Json::as_str)
-                .ok_or("request missing `session`")?
-                .to_string())
-        };
-        let field = |obj: &BTreeMap<String, Json>, key: &str| -> Result<String, String> {
-            Ok(obj
-                .get(key)
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("request missing `{key}`"))?
-                .to_string())
-        };
-        Ok(match kind {
+        let field = |key: &str| json::str_field(obj, "request", key);
+        let session = || field("session");
+        Ok(match &*field("req")? {
             "hello" => Request::Hello {
-                version: obj
-                    .get("version")
-                    .and_then(Json::as_u64)
-                    .ok_or("hello missing `version`")?
+                version: json::u64_field(obj, "hello", "version")?
                     .try_into()
                     .map_err(|_| "hello: version out of range")?,
             },
             "open" => {
-                let oo =
-                    obj.get("options").and_then(Json::as_object).ok_or("open missing `options`")?;
-                let str_list = |key: &str| -> Result<Vec<String>, String> {
-                    match oo.get(key) {
-                        None | Some(Json::Null) => Ok(Vec::new()),
-                        Some(v) => v
-                            .as_array()
-                            .ok_or_else(|| format!("options.{key} must be an array"))?
-                            .iter()
-                            .map(|s| {
-                                s.as_str()
-                                    .map(str::to_string)
-                                    .ok_or_else(|| format!("options.{key} must hold strings"))
-                            })
-                            .collect(),
-                    }
+                let oo = json::object_field(obj, "open", "options")?;
+                let str_list = |key: &str| match oo.get(key) {
+                    None | Some(Json::Null) => Ok(Vec::new()),
+                    Some(v) => strings(
+                        v.as_array().ok_or_else(|| format!("options.{key} must be an array"))?,
+                        "options",
+                        key,
+                    ),
                 };
                 Request::Open {
-                    session: session(obj)?,
+                    session: session()?,
                     options: SessionOptions {
-                        root: oo
-                            .get("root")
-                            .and_then(Json::as_str)
-                            .ok_or("options missing `root`")?
-                            .to_string(),
+                        root: json::str_field(oo, "options", "root")?,
                         entry: oo.get("entry").and_then(Json::as_str).map(str::to_string),
                         check_constraints: oo
                             .get("check_constraints")
@@ -679,43 +591,39 @@ impl Request {
                 }
             }
             "load_units" => Request::LoadUnits {
-                session: session(obj)?,
-                file: field(obj, "file")?,
-                text: field(obj, "text")?,
+                session: session()?,
+                file: field("file")?,
+                text: field("text")?,
             },
             "update_unit" => Request::UpdateUnit {
-                session: session(obj)?,
-                file: field(obj, "file")?,
-                text: field(obj, "text")?,
+                session: session()?,
+                file: field("file")?,
+                text: field("text")?,
             },
             "update_source" => Request::UpdateSource {
-                session: session(obj)?,
-                path: field(obj, "path")?,
-                text: field(obj, "text")?,
+                session: session()?,
+                path: field("path")?,
+                text: field("text")?,
             },
             "build" => Request::Build {
-                session: session(obj)?,
+                session: session()?,
                 want_image: obj.get("want_image").and_then(Json::as_bool).unwrap_or(false),
             },
             "lint" => {
-                let co =
-                    obj.get("config").and_then(Json::as_object).ok_or("lint missing `config`")?;
+                let co = json::object_field(obj, "lint", "config")?;
                 let mut overrides = Vec::new();
-                if let Some(arr) = co.get("overrides").and_then(Json::as_array) {
-                    for o in arr {
-                        let pair = o.as_array().ok_or("lint override must be [name, level]")?;
-                        let (name, level) = match pair {
-                            [n, l] => (
-                                n.as_str().ok_or("lint override name must be a string")?,
-                                l.as_str().ok_or("lint override level must be a string")?,
-                            ),
-                            _ => return Err("lint override must be [name, level]".to_string()),
-                        };
-                        overrides.push((name.to_string(), lint_level_parse(level)?));
-                    }
+                for o in co.get("overrides").and_then(Json::as_array).unwrap_or(&[]) {
+                    let (name, level) = match o.as_array() {
+                        Some([n, l]) => (
+                            n.as_str().ok_or("lint override name must be a string")?,
+                            l.as_str().ok_or("lint override level must be a string")?,
+                        ),
+                        _ => return Err("lint override must be [name, level]".to_string()),
+                    };
+                    overrides.push((name.to_string(), lint_level_parse(level)?));
                 }
                 Request::Lint {
-                    session: session(obj)?,
+                    session: session()?,
                     config: LintOptions {
                         overrides,
                         deny_warnings: co
@@ -725,12 +633,12 @@ impl Request {
                     },
                 }
             }
-            "explain" => Request::Explain { code: field(obj, "code")? },
+            "explain" => Request::Explain { code: field("code")? },
             "pgo_suggest" => {
-                Request::PgoSuggest { session: session(obj)?, profile: field(obj, "profile")? }
+                Request::PgoSuggest { session: session()?, profile: field("profile")? }
             }
-            "watch" => Request::Watch { session: session(obj)? },
-            "close" => Request::Close { session: session(obj)? },
+            "watch" => Request::Watch { session: session()? },
+            "close" => Request::Close { session: session()? },
             "ping" => Request::Ping,
             "shutdown" => Request::Shutdown,
             other => return Err(format!("unknown request kind `{other}`")),
@@ -738,16 +646,25 @@ impl Request {
     }
 }
 
-fn write_diag(out: &mut String, d: &Diagnostic) {
-    // Identical to `Diagnostic::json()` — the wire format for diagnostics
-    // IS the `--error-format=json` format, by design.
-    out.push_str(&d.json());
+/// `items` as strings; a non-string element is `"{ctx}.{key} must hold
+/// strings"`.
+fn strings(items: &[Json], ctx: &str, key: &str) -> Result<Vec<String>, String> {
+    items
+        .iter()
+        .map(|s| {
+            s.as_str().map(str::to_string).ok_or_else(|| format!("{ctx}.{key} must hold strings"))
+        })
+        .collect()
+}
+
+fn usize_field(obj: &Object, ctx: &str, key: &str) -> Result<usize, String> {
+    json::u64_field(obj, ctx, key).map(|n| n as usize)
 }
 
 fn parse_diag(v: &Json) -> Result<Diagnostic, String> {
     let o = v.as_object().ok_or("diagnostic must be an object")?;
-    let code = o.get("code").and_then(Json::as_str).ok_or("diagnostic missing `code`")?;
-    let code = crate::diag::static_code(code)
+    let code = json::str_field(o, "diagnostic", "code")?;
+    let code = crate::diag::static_code(&code)
         .ok_or_else(|| format!("unknown diagnostic code `{code}`"))?;
     let severity = match o.get("severity").and_then(Json::as_str) {
         Some("error") => Severity::Error,
@@ -755,182 +672,121 @@ fn parse_diag(v: &Json) -> Result<Diagnostic, String> {
         Some("note") => Severity::Note,
         other => return Err(format!("bad diagnostic severity {other:?}")),
     };
-    let message =
-        o.get("message").and_then(Json::as_str).ok_or("diagnostic missing `message`")?.to_string();
+    let message = json::str_field(o, "diagnostic", "message")?;
     let span = match o.get("span") {
         None | Some(Json::Null) => None,
         Some(s) => {
             let so = s.as_object().ok_or("diagnostic span must be an object")?;
             Some((
-                so.get("file").and_then(Json::as_str).ok_or("span missing `file`")?.to_string(),
-                so.get("line").and_then(Json::as_u64).ok_or("span missing `line`")? as u32,
-                so.get("col").and_then(Json::as_u64).ok_or("span missing `col`")? as u32,
+                json::str_field(so, "span", "file")?,
+                json::u64_field(so, "span", "line")? as u32,
+                json::u64_field(so, "span", "col")? as u32,
             ))
         }
     };
     let mut notes = Vec::new();
-    if let Some(arr) = o.get("notes").and_then(Json::as_array) {
-        for n in arr {
-            notes.push(n.as_str().ok_or("notes must be strings")?.to_string());
-        }
+    for n in o.get("notes").and_then(Json::as_array).unwrap_or(&[]) {
+        notes.push(n.as_str().ok_or("notes must be strings")?.to_string());
     }
     Ok(Diagnostic { code, severity, message, span, notes })
 }
 
+fn parse_diags(obj: &Object, ctx: &str) -> Result<Vec<Diagnostic>, String> {
+    json::array_field(obj, ctx, "diagnostics")?.iter().map(parse_diag).collect()
+}
+
 fn write_diags(out: &mut String, diags: &[Diagnostic]) {
-    out.push('[');
-    for (i, d) in diags.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_diag(out, d);
-    }
-    out.push(']');
+    // The wire format for diagnostics IS the `--error-format=json` format.
+    json::write_array(out, diags, |out, d| out.push_str(&d.json()));
 }
 
 impl Response {
     /// Serialize to the canonical single-line JSON wire form.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
+        let obj = |kind, fields: &[(&str, &str)]| head("resp", kind, fields) + "}";
         match self {
-            Response::Hello { version } => {
-                out.push_str(&format!("{{\"resp\":\"hello\",\"version\":{version}}}"));
-            }
-            Response::Ok => out.push_str("{\"resp\":\"ok\"}"),
-            Response::Opened { created } => {
-                out.push_str(&format!("{{\"resp\":\"opened\",\"created\":{created}}}"));
-            }
+            Response::Hello { version } => format!("{{\"resp\":\"hello\",\"version\":{version}}}"),
+            Response::Ok => obj("ok", &[]),
+            Response::Opened { created } => format!("{{\"resp\":\"opened\",\"created\":{created}}}"),
             Response::Built { outcome, image } => {
-                out.push_str("{\"resp\":\"built\",\"outcome\":");
+                let mut out = head("resp", "built", &[]);
+                out.push_str(",\"outcome\":");
                 write_outcome(&mut out, outcome);
                 out.push_str(",\"image\":");
-                match image {
-                    Some(hex) => js(&mut out, hex),
-                    None => out.push_str("null"),
-                }
-                out.push('}');
+                write_opt_str(&mut out, image.as_deref());
+                out + "}"
             }
             Response::Linted { units_analyzed, warnings, errors, diagnostics } => {
+                let mut out = head("resp", "linted", &[]);
                 out.push_str(&format!(
-                    "{{\"resp\":\"linted\",\"units_analyzed\":{units_analyzed},\"warnings\":{warnings},\"errors\":{errors},\"diagnostics\":"
+                    ",\"units_analyzed\":{units_analyzed},\"warnings\":{warnings},\"errors\":{errors},\"diagnostics\":"
                 ));
                 write_diags(&mut out, diagnostics);
-                out.push('}');
+                out + "}"
             }
             Response::Explained { code, summary, example, lint } => {
-                out.push_str("{\"resp\":\"explained\",\"code\":");
-                js(&mut out, code);
-                out.push_str(",\"summary\":");
-                js(&mut out, summary);
-                out.push_str(",\"example\":");
-                js(&mut out, example);
+                let fields = [("code", code.as_str()), ("summary", summary), ("example", example)];
+                let mut out = head("resp", "explained", &fields);
                 out.push_str(",\"lint\":");
                 match lint {
                     Some((name, level)) => {
                         out.push_str("{\"name\":");
-                        js(&mut out, name);
-                        out.push_str(",\"default_level\":");
-                        js(&mut out, lint_level_str(*level));
-                        out.push('}');
+                        write_str(&mut out, name);
+                        out.push_str(&format!(",\"default_level\":\"{}\"}}", lint_level_str(*level)));
                     }
                     None => out.push_str("null"),
                 }
-                out.push('}');
+                out + "}"
             }
-            Response::Suggested { text } => {
-                out.push_str("{\"resp\":\"suggested\",\"text\":");
-                js(&mut out, text);
-                out.push('}');
-            }
-            Response::Subscribed { session } => {
-                out.push_str("{\"resp\":\"subscribed\",\"session\":");
-                js(&mut out, session);
-                out.push('}');
-            }
+            Response::Suggested { text } => obj("suggested", &[("text", text)]),
+            Response::Subscribed { session } => obj("subscribed", &[("session", session)]),
             Response::Event(e) => {
-                out.push_str("{\"resp\":\"event\",\"session\":");
-                js(&mut out, &e.session);
-                out.push_str(&format!(
-                    ",\"seq\":{},\"ok\":{},\"units_compiled\":{},\"units_reused\":{},\"text_size\":{},\"image_hash\":{}}}",
-                    e.seq, e.ok, e.units_compiled, e.units_reused, e.text_size, e.image_hash
-                ));
+                head("resp", "event", &[("session", &e.session)])
+                    + &format!(
+                        ",\"seq\":{},\"ok\":{},\"units_compiled\":{},\"units_reused\":{},\"text_size\":{},\"image_hash\":{}}}",
+                        e.seq, e.ok, e.units_compiled, e.units_reused, e.text_size, e.image_hash
+                    )
             }
             Response::Error { diagnostics } => {
-                out.push_str("{\"resp\":\"error\",\"diagnostics\":");
+                let mut out = head("resp", "error", &[]);
+                out.push_str(",\"diagnostics\":");
                 write_diags(&mut out, diagnostics);
-                out.push('}');
+                out + "}"
             }
-            Response::Pong => out.push_str("{\"resp\":\"pong\"}"),
-            Response::Bye => out.push_str("{\"resp\":\"bye\"}"),
+            Response::Pong => obj("pong", &[]),
+            Response::Bye => obj("bye", &[]),
         }
-        out
     }
 
     /// Parse a response from its wire form.
     pub fn from_json(text: &str) -> Result<Response, String> {
         let v = Json::parse(text)?;
         let obj = v.as_object().ok_or("response must be a JSON object")?;
-        let kind = obj.get("resp").and_then(Json::as_str).ok_or("response missing `resp`")?;
-        let usize_of = |obj: &BTreeMap<String, Json>, key: &str| -> Result<usize, String> {
-            Ok(obj
-                .get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("response missing `{key}`"))? as usize)
-        };
-        Ok(match kind {
+        Ok(match &*json::str_field(obj, "response", "resp")? {
             "hello" => Response::Hello {
-                version: obj
-                    .get("version")
-                    .and_then(Json::as_u64)
-                    .ok_or("hello missing `version`")?
+                version: json::u64_field(obj, "hello", "version")?
                     .try_into()
                     .map_err(|_| "hello: version out of range")?,
             },
             "ok" => Response::Ok,
-            "opened" => Response::Opened {
-                created: obj
-                    .get("created")
-                    .and_then(Json::as_bool)
-                    .ok_or("opened missing `created`")?,
-            },
+            "opened" => Response::Opened { created: json::bool_field(obj, "opened", "created")? },
             "built" => {
-                let oo = obj
-                    .get("outcome")
-                    .and_then(Json::as_object)
-                    .ok_or("built missing `outcome`")?;
-                let str_list = |key: &str| -> Result<Vec<String>, String> {
-                    oo.get(key)
-                        .and_then(Json::as_array)
-                        .ok_or_else(|| format!("outcome missing `{key}`"))?
-                        .iter()
-                        .map(|s| {
-                            s.as_str()
-                                .map(str::to_string)
-                                .ok_or_else(|| format!("outcome.{key} must hold strings"))
-                        })
-                        .collect()
-                };
-                let u = |key: &str| -> Result<u64, String> {
-                    oo.get(key)
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| format!("outcome missing `{key}`"))
-                };
+                let oo = json::object_field(obj, "built", "outcome")?;
+                let str_list =
+                    |key| strings(json::array_field(oo, "outcome", key)?, "outcome", key);
+                let n = |key| usize_field(oo, "outcome", key);
                 let mut outcome = BuildOutcome {
-                    root: oo
-                        .get("root")
-                        .and_then(Json::as_str)
-                        .ok_or("outcome missing `root`")?
-                        .to_string(),
-                    instances: u("instances")? as usize,
-                    units_compiled: u("units_compiled")? as usize,
-                    units_reused: u("units_reused")? as usize,
-                    objects: u("objects")? as usize,
-                    flatten_groups: u("flatten_groups")? as usize,
-                    text_size: u("text_size")?,
-                    cache_hits: u("cache_hits")? as usize,
-                    cache_misses: u("cache_misses")? as usize,
-                    jobs: u("jobs")? as usize,
-                    image_hash: u("image_hash")?,
+                    root: json::str_field(oo, "outcome", "root")?,
+                    instances: n("instances")?,
+                    units_compiled: n("units_compiled")?,
+                    units_reused: n("units_reused")?,
+                    objects: n("objects")?,
+                    flatten_groups: n("flatten_groups")?,
+                    text_size: json::u64_field(oo, "outcome", "text_size")?,
+                    cache_hits: n("cache_hits")?,
+                    cache_misses: n("cache_misses")?,
+                    jobs: n("jobs")?,
+                    image_hash: json::u64_field(oo, "outcome", "image_hash")?,
                     schedule: str_list("schedule")?,
                     watched: str_list("watched")?,
                     ..BuildOutcome::default()
@@ -949,9 +805,9 @@ impl Response {
                     Some(c) => {
                         let co = c.as_object().ok_or("constraints must be an object")?;
                         Some((
-                            usize_of(co, "constraints")?,
-                            usize_of(co, "vars")?,
-                            usize_of(co, "annotated_units")?,
+                            usize_field(co, "response", "constraints")?,
+                            usize_field(co, "response", "vars")?,
+                            usize_field(co, "response", "annotated_units")?,
                         ))
                     }
                 };
@@ -980,18 +836,11 @@ impl Response {
                 }
             }
             "linted" => {
-                let mut diagnostics = Vec::new();
-                for d in obj
-                    .get("diagnostics")
-                    .and_then(Json::as_array)
-                    .ok_or("linted missing `diagnostics`")?
-                {
-                    diagnostics.push(parse_diag(d)?);
-                }
+                let diagnostics = parse_diags(obj, "linted")?;
                 Response::Linted {
-                    units_analyzed: usize_of(obj, "units_analyzed")?,
-                    warnings: usize_of(obj, "warnings")?,
-                    errors: usize_of(obj, "errors")?,
+                    units_analyzed: usize_field(obj, "response", "units_analyzed")?,
+                    warnings: usize_field(obj, "response", "warnings")?,
+                    errors: usize_field(obj, "response", "errors")?,
                     diagnostics,
                 }
             }
@@ -1000,82 +849,34 @@ impl Response {
                     None | Some(Json::Null) => None,
                     Some(l) => {
                         let lo = l.as_object().ok_or("lint must be an object")?;
+                        let name = json::str_field(lo, "lint", "name")?;
                         Some((
-                            lo.get("name")
-                                .and_then(Json::as_str)
-                                .ok_or("lint missing `name`")?
-                                .to_string(),
-                            lint_level_parse(
-                                lo.get("default_level")
-                                    .and_then(Json::as_str)
-                                    .ok_or("lint missing `default_level`")?,
-                            )?,
+                            name,
+                            lint_level_parse(&json::str_field(lo, "lint", "default_level")?)?,
                         ))
                     }
                 };
                 Response::Explained {
-                    code: obj
-                        .get("code")
-                        .and_then(Json::as_str)
-                        .ok_or("explained missing `code`")?
-                        .to_string(),
-                    summary: obj
-                        .get("summary")
-                        .and_then(Json::as_str)
-                        .ok_or("explained missing `summary`")?
-                        .to_string(),
-                    example: obj
-                        .get("example")
-                        .and_then(Json::as_str)
-                        .ok_or("explained missing `example`")?
-                        .to_string(),
+                    code: json::str_field(obj, "explained", "code")?,
+                    summary: json::str_field(obj, "explained", "summary")?,
+                    example: json::str_field(obj, "explained", "example")?,
                     lint,
                 }
             }
-            "suggested" => Response::Suggested {
-                text: obj
-                    .get("text")
-                    .and_then(Json::as_str)
-                    .ok_or("suggested missing `text`")?
-                    .to_string(),
-            },
-            "subscribed" => Response::Subscribed {
-                session: obj
-                    .get("session")
-                    .and_then(Json::as_str)
-                    .ok_or("subscribed missing `session`")?
-                    .to_string(),
-            },
-            "event" => Response::Event(BuildEvent {
-                session: obj
-                    .get("session")
-                    .and_then(Json::as_str)
-                    .ok_or("event missing `session`")?
-                    .to_string(),
-                seq: obj.get("seq").and_then(Json::as_u64).ok_or("event missing `seq`")?,
-                ok: obj.get("ok").and_then(Json::as_bool).ok_or("event missing `ok`")?,
-                units_compiled: usize_of(obj, "units_compiled")?,
-                units_reused: usize_of(obj, "units_reused")?,
-                text_size: obj
-                    .get("text_size")
-                    .and_then(Json::as_u64)
-                    .ok_or("event missing `text_size`")?,
-                image_hash: obj
-                    .get("image_hash")
-                    .and_then(Json::as_u64)
-                    .ok_or("event missing `image_hash`")?,
-            }),
-            "error" => {
-                let mut diagnostics = Vec::new();
-                for d in obj
-                    .get("diagnostics")
-                    .and_then(Json::as_array)
-                    .ok_or("error missing `diagnostics`")?
-                {
-                    diagnostics.push(parse_diag(d)?);
-                }
-                Response::Error { diagnostics }
+            "suggested" => Response::Suggested { text: json::str_field(obj, "suggested", "text")? },
+            "subscribed" => {
+                Response::Subscribed { session: json::str_field(obj, "subscribed", "session")? }
             }
+            "event" => Response::Event(BuildEvent {
+                session: json::str_field(obj, "event", "session")?,
+                seq: json::u64_field(obj, "event", "seq")?,
+                ok: json::bool_field(obj, "event", "ok")?,
+                units_compiled: usize_field(obj, "response", "units_compiled")?,
+                units_reused: usize_field(obj, "response", "units_reused")?,
+                text_size: json::u64_field(obj, "event", "text_size")?,
+                image_hash: json::u64_field(obj, "event", "image_hash")?,
+            }),
+            "error" => Response::Error { diagnostics: parse_diags(obj, "error")? },
             "pong" => Response::Pong,
             "bye" => Response::Bye,
             other => return Err(format!("unknown response kind `{other}`")),
@@ -1523,266 +1324,6 @@ pub fn image_hash(img: &Image) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// JSON value parser (shared by Request/Response::from_json)
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value — just enough JSON for the protocol schema.
-/// Unsigned integers are kept as exact `u64`s (image hashes exceed 2^53).
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Int(u64),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("json: trailing garbage at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-    fn as_object(&self) -> Option<&BTreeMap<String, Json>> {
-        match self {
-            Json::Obj(m) => Some(m),
-            _ => None,
-        }
-    }
-    fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-    fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Int(n) => Some(*n),
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("json: expected `{}` at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("json: bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(format!("json: unexpected byte {}", self.pos)),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut m = BTreeMap::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(m));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            m.insert(key, self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(m));
-                }
-                _ => return Err(format!("json: expected `,` or `}}` at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut v = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(v));
-        }
-        loop {
-            v.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(v));
-                }
-                _ => return Err(format!("json: expected `,` or `]` at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            match self.bytes.get(self.pos).copied() {
-                None => return Err("json: unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos).copied() {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'/') => s.push('/'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'b') => s.push('\u{8}'),
-                        Some(b'f') => s.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("json: truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "json: bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "json: bad \\u escape")?;
-                            // Surrogate pairs: the writer never emits them
-                            // (it escapes only controls), but accept them.
-                            if (0xd800..0xdc00).contains(&code) {
-                                let rest = self.bytes.get(self.pos + 5..self.pos + 11);
-                                match rest {
-                                    Some([b'\\', b'u', h @ ..]) => {
-                                        let low = u32::from_str_radix(
-                                            std::str::from_utf8(h)
-                                                .map_err(|_| "json: bad surrogate")?,
-                                            16,
-                                        )
-                                        .map_err(|_| "json: bad surrogate")?;
-                                        let c = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
-                                        s.push(char::from_u32(c).ok_or("json: bad surrogate")?);
-                                        self.pos += 10;
-                                    }
-                                    _ => return Err("json: lone surrogate".to_string()),
-                                }
-                            } else {
-                                s.push(char::from_u32(code).ok_or("json: bad \\u escape")?);
-                                self.pos += 4;
-                            }
-                        }
-                        other => return Err(format!("json: bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // consume one UTF-8 scalar
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "json: bad utf-8".to_string())?;
-                    let c = rest.chars().next().expect("nonempty");
-                    s.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.bytes.get(self.pos), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        let mut float = false;
-        if self.bytes.get(self.pos) == Some(&b'.') {
-            float = true;
-            self.pos += 1;
-            while matches!(self.bytes.get(self.pos), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.bytes.get(self.pos), Some(b'e' | b'E')) {
-            float = true;
-            self.pos += 1;
-            if matches!(self.bytes.get(self.pos), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.bytes.get(self.pos), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        if !float {
-            if let Ok(n) = text.parse::<u64>() {
-                return Ok(Json::Int(n));
-            }
-        }
-        text.parse::<f64>().map(Json::Num).map_err(|_| format!("json: bad number at byte {start}"))
-    }
-}
-
-// ---------------------------------------------------------------------------
 // generated protocol documentation
 // ---------------------------------------------------------------------------
 
@@ -2003,9 +1544,14 @@ mod tests {
             watched: vec!["a.c".to_string()],
             ..BuildOutcome::default()
         };
-        let r = Response::Built { outcome, image: Some("00ff".to_string()) };
+        let r = Response::Built { outcome: outcome.clone(), image: Some("00ff".to_string()) };
         let j = r.to_json();
         assert_eq!(Response::from_json(&j).unwrap(), r, "{j}");
+
+        // A 1 MiB image string: decoding is linear in the line length.
+        let image = "0123456789abcdef".repeat(1 << 16);
+        let r = Response::Built { outcome, image: Some(image) };
+        assert_eq!(Response::from_json(&r.to_json()).unwrap(), r);
 
         for created in [false, true] {
             let o = Response::Opened { created };

@@ -176,6 +176,171 @@ fn built_outcome_wire_bytes_are_pinned() {
     );
 }
 
+/// Schema-level decode errors are part of the contract too: clients and
+/// logs show them verbatim inside K0017 diagnostics. Each malformed line
+/// maps to its exact message.
+#[test]
+fn schema_errors_are_pinned() {
+    let requests: &[(&str, &str)] = &[
+        (r#"[]"#, "request must be a JSON object"),
+        (r#"{}"#, "request missing `req`"),
+        (r#"{"req":3}"#, "request missing `req`"),
+        (r#"{"req":"frobnicate"}"#, "unknown request kind `frobnicate`"),
+        (r#"{"req":"hello"}"#, "hello missing `version`"),
+        (r#"{"req":"hello","version":4294967296}"#, "hello: version out of range"),
+        (r#"{"req":"build"}"#, "request missing `session`"),
+        (r#"{"req":"load_units","session":"s","file":"f"}"#, "request missing `text`"),
+        (r#"{"req":"update_source","session":"s","path":3,"text":""}"#, "request missing `path`"),
+        (r#"{"req":"explain"}"#, "request missing `code`"),
+        (r#"{"req":"pgo_suggest","session":"s"}"#, "request missing `profile`"),
+        (r#"{"req":"open","session":"s"}"#, "open missing `options`"),
+        (r#"{"req":"open","options":{"root":"R"}}"#, "request missing `session`"),
+        (r#"{"req":"open","session":"s","options":{}}"#, "options missing `root`"),
+        (
+            r#"{"req":"open","session":"s","options":{"root":"R","default_flags":"-O2"}}"#,
+            "options.default_flags must be an array",
+        ),
+        (
+            r#"{"req":"open","session":"s","options":{"root":"R","runtime_symbols":[1]}}"#,
+            "options.runtime_symbols must hold strings",
+        ),
+        (r#"{"req":"lint","session":"s"}"#, "lint missing `config`"),
+        (
+            r#"{"req":"lint","session":"s","config":{"overrides":[["unused-import","loud"]]}}"#,
+            "bad lint level `loud`",
+        ),
+        (
+            r#"{"req":"lint","config":{"overrides":[["unused-import","loud"]]}}"#,
+            "bad lint level `loud`",
+        ),
+        (
+            r#"{"req":"lint","session":"s","config":{"overrides":[["a"]]}}"#,
+            "lint override must be [name, level]",
+        ),
+        (
+            r#"{"req":"lint","session":"s","config":{"overrides":[3]}}"#,
+            "lint override must be [name, level]",
+        ),
+        (
+            r#"{"req":"lint","session":"s","config":{"overrides":[[1,"warn"]]}}"#,
+            "lint override name must be a string",
+        ),
+        (
+            r#"{"req":"lint","session":"s","config":{"overrides":[["a",1]]}}"#,
+            "lint override level must be a string",
+        ),
+        // JSON syntax errors keep the protocol codec's wording.
+        (r#"{"req":"#, "json: unexpected byte 7"),
+        (r#"{"req":"ping"} x"#, "json: trailing garbage at byte 15"),
+        (r#"{"req":"ping""#, "json: expected `,` or `}` at byte 13"),
+        (r#"{"req":"\ud835"}"#, "json: lone surrogate"),
+    ];
+    for (line, want) in requests {
+        assert_eq!(Request::from_json(line).unwrap_err(), *want, "request {line}");
+    }
+
+    let mut built = Response::Built { outcome: BuildOutcome::default(), image: None }.to_json();
+    built = built.replace(r#""phases":[]"#, r#""phases":[["a"]]"#);
+    let responses: &[(&str, &str)] = &[
+        (r#"3"#, "response must be a JSON object"),
+        (r#"{}"#, "response missing `resp`"),
+        (r#"{"resp":"nope"}"#, "unknown response kind `nope`"),
+        (r#"{"resp":"hello","version":1.5}"#, "hello missing `version`"),
+        (r#"{"resp":"opened"}"#, "opened missing `created`"),
+        (r#"{"resp":"opened","created":1}"#, "opened missing `created`"),
+        (r#"{"resp":"built"}"#, "built missing `outcome`"),
+        (r#"{"resp":"built","outcome":{}}"#, "outcome missing `root`"),
+        (r#"{"resp":"built","outcome":{"root":"R"}}"#, "outcome missing `instances`"),
+        (&built, "phase must be [name, micros]"),
+        (
+            r#"{"resp":"linted","units_analyzed":1,"warnings":0,"errors":0}"#,
+            "linted missing `diagnostics`",
+        ),
+        (r#"{"resp":"linted","diagnostics":[]}"#, "response missing `units_analyzed`"),
+        (r#"{"resp":"error"}"#, "error missing `diagnostics`"),
+        (r#"{"resp":"error","diagnostics":[3]}"#, "diagnostic must be an object"),
+        (r#"{"resp":"error","diagnostics":[{}]}"#, "diagnostic missing `code`"),
+        (r#"{"resp":"error","diagnostics":[{"code":"K9999"}]}"#, "unknown diagnostic code `K9999`"),
+        (
+            r#"{"resp":"error","diagnostics":[{"code":"K0017","severity":"fatal"}]}"#,
+            r#"bad diagnostic severity Some("fatal")"#,
+        ),
+        (r#"{"resp":"error","diagnostics":[{"code":"K0017"}]}"#, "bad diagnostic severity None"),
+        (
+            r#"{"resp":"error","diagnostics":[{"code":"K0017","severity":"error"}]}"#,
+            "diagnostic missing `message`",
+        ),
+        (
+            r#"{"resp":"error","diagnostics":[{"code":"K0017","severity":"error","message":"m","span":3}]}"#,
+            "diagnostic span must be an object",
+        ),
+        (
+            r#"{"resp":"error","diagnostics":[{"code":"K0017","severity":"error","message":"m","span":{"file":"f","line":1}}]}"#,
+            "span missing `col`",
+        ),
+        (
+            r#"{"resp":"error","diagnostics":[{"code":"K0017","severity":"error","message":"m","notes":[1]}]}"#,
+            "notes must be strings",
+        ),
+        (r#"{"resp":"explained","code":"K1002","summary":"s"}"#, "explained missing `example`"),
+        (
+            r#"{"resp":"explained","code":"K1002","summary":"s","example":"e","lint":{"name":"n","default_level":"loud"}}"#,
+            "bad lint level `loud`",
+        ),
+        (r#"{"resp":"explained","lint":{"default_level":"warn"}}"#, "lint missing `name`"),
+        (r#"{"resp":"suggested"}"#, "suggested missing `text`"),
+        (r#"{"resp":"subscribed","session":null}"#, "subscribed missing `session`"),
+        (r#"{"resp":"event","session":"s","seq":-1}"#, "event missing `seq`"),
+        (
+            r#"{"resp":"event","session":"s","seq":1,"ok":true,"units_compiled":1,"units_reused":0,"text_size":1}"#,
+            "event missing `image_hash`",
+        ),
+    ];
+    for (line, want) in responses {
+        assert_eq!(Response::from_json(line).unwrap_err(), *want, "response {line}");
+    }
+
+    let profiles: &[(&str, &str)] = &[
+        (r#"[]"#, "profile: top level must be an object"),
+        (r#"{"edges": 3}"#, "profile: `edges` must be an array"),
+        (r#"{"edges": [3]}"#, "profile: edge 0 must be an object"),
+        (r#"{"edges": [{"caller": "a"}]}"#, "profile: edge 0 missing `callee`"),
+        (r#"{"edges": [{"callee": "b", "count": 1}]}"#, "profile: edge 0 missing `caller`"),
+        (r#"{"edges": [{"caller": "a", "callee": "b"}]}"#, "profile: edge 0 missing `count`"),
+        (r#"{"funcs": {}}"#, "profile: `funcs` must be an array"),
+        (r#"{"funcs": [{"name": "f"}]}"#, "profile: func 0 missing `instructions`"),
+        (
+            r#"{"funcs": [{"name": "f", "instructions": 1}, {"instructions": 1}]}"#,
+            "profile: func 1 missing `name`",
+        ),
+    ];
+    for (line, want) in profiles {
+        assert_eq!(machine::Profile::from_json(line).unwrap_err(), *want, "profile {line}");
+    }
+}
+
+/// Hostile nesting is a decode error, not a stack overflow: every decoder
+/// that reads untrusted JSON rejects a line of 100,000 `[` on a thread
+/// with the 2 MiB stack a server connection thread gets.
+#[test]
+fn deep_nesting_is_rejected_on_a_connection_sized_stack() {
+    let line = "[".repeat(100_000);
+    for what in ["request", "response", "profile"] {
+        let line = line.clone();
+        let rejected = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || match what {
+                "request" => Request::from_json(&line).is_err(),
+                "response" => Response::from_json(&line).is_err(),
+                _ => machine::Profile::from_json(&line).is_err(),
+            })
+            .expect("spawns")
+            .join()
+            .expect("decoder thread survives");
+        assert!(rejected, "{what} decoder accepted 100,000 `[`");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // the image codec
 // ---------------------------------------------------------------------------

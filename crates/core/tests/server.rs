@@ -279,6 +279,42 @@ fn shutdown_drains_in_flight_requests() {
     handle.join().expect("clean shutdown");
 }
 
+/// A hostile line — 200,000 nested `[` — costs the client one `K0017`,
+/// not the server: the same connection keeps serving afterwards.
+#[test]
+fn hostile_nesting_is_k0017_and_the_connection_survives() {
+    let server = Server::bind(Engine::new(), "tcp:0").expect("binds");
+    let addr = server.addr().to_string();
+    let handle = server.spawn();
+
+    let tcp = addr.strip_prefix("tcp:").expect("tcp spec");
+    let mut stream = std::net::TcpStream::connect(tcp).expect("connects");
+    let hostile = "[".repeat(200_000);
+    let burst = format!(
+        "{}\n{hostile}\n{}\n{}\n",
+        Request::Hello { version: proto::VERSION }.to_json(),
+        Request::Ping.to_json(),
+        Request::Shutdown.to_json()
+    );
+    stream.write_all(burst.as_bytes()).expect("writes");
+    stream.flush().expect("flushes");
+
+    let mut reader = BufReader::new(stream);
+    let mut next = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("reads");
+        Response::from_json(line.trim_end()).expect("parses")
+    };
+    assert_eq!(next(), Response::Hello { version: proto::VERSION });
+    match next() {
+        Response::Error { diagnostics } => assert_eq!(diagnostics[0].code, "K0017"),
+        other => panic!("expected a K0017 rejection, got {other:?}"),
+    }
+    assert_eq!(next(), Response::Pong);
+    assert_eq!(next(), Response::Bye);
+    handle.join().expect("clean shutdown");
+}
+
 /// `knitc lint --connect` semantics: the same racy example produces a
 /// byte-identical diagnostic stream over a real socket and through a
 /// direct in-process session, and the per-session analyze memo survives

@@ -26,6 +26,7 @@ pub mod costs;
 pub mod cpu;
 pub mod dev;
 pub(crate) mod exec;
+pub mod json;
 pub mod mc;
 pub mod mesi;
 pub mod profile;

@@ -9,13 +9,16 @@
 //! feeding back into the linker's profile-guided layout (and the PGO
 //! flatten advisor) in a `--profile-use` build.
 //!
-//! The JSON codec here is hand-rolled: the build environment vendors no
-//! serialization crates, and the schema is small enough that an explicit
-//! writer/reader doubles as its specification.
+//! The encoding is written by hand here — its bytes feed build
+//! fingerprints through [`Profile::stable_hash`], so the writer doubles as
+//! the format's specification — and read back with the shared
+//! [`crate::json`] parser.
 
 use std::collections::BTreeMap;
 
 use cobj::layout::LayoutProfile;
+
+use crate::json::{self, Json};
 
 /// One observed call edge, aggregated over the run.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -123,9 +126,9 @@ impl Profile {
         for (i, e) in self.edges.iter().enumerate() {
             s.push_str(if i == 0 { "\n" } else { ",\n" });
             s.push_str("    {\"caller\": ");
-            json_string(&mut s, &e.caller);
+            json::write_str(&mut s, &e.caller);
             s.push_str(", \"callee\": ");
-            json_string(&mut s, &e.callee);
+            json::write_str(&mut s, &e.callee);
             s.push_str(&format!(
                 ", \"indirect\": {}, \"count\": {}}}",
                 if e.indirect { "true" } else { "false" },
@@ -137,7 +140,7 @@ impl Profile {
         for (i, f) in self.funcs.iter().enumerate() {
             s.push_str(if i == 0 { "\n" } else { ",\n" });
             s.push_str("    {\"name\": ");
-            json_string(&mut s, &f.name);
+            json::write_str(&mut s, &f.name);
             s.push_str(&format!(", \"instructions\": {}}}", f.instructions));
         }
         s.push_str(if self.funcs.is_empty() { "]\n" } else { "\n  ]\n" });
@@ -149,7 +152,7 @@ impl Profile {
     /// expected shape (whitespace and key order are free); unknown keys
     /// are ignored so the schema can grow.
     pub fn from_json(text: &str) -> Result<Profile, String> {
-        let v = JsonParser::new(text).parse()?;
+        let v = Json::parse(text)?;
         let obj = v.as_object().ok_or("profile: top level must be an object")?;
         let mut p = Profile::default();
         if let Some(edges) = obj.get("edges") {
@@ -158,22 +161,12 @@ impl Profile {
             {
                 let eo =
                     e.as_object().ok_or_else(|| format!("profile: edge {i} must be an object"))?;
+                let ctx = format!("profile: edge {i}");
                 p.edges.push(CallEdge {
-                    caller: eo
-                        .get("caller")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| format!("profile: edge {i} missing `caller`"))?
-                        .to_string(),
-                    callee: eo
-                        .get("callee")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| format!("profile: edge {i} missing `callee`"))?
-                        .to_string(),
+                    caller: json::str_field(eo, &ctx, "caller")?,
+                    callee: json::str_field(eo, &ctx, "callee")?,
                     indirect: eo.get("indirect").and_then(Json::as_bool).unwrap_or(false),
-                    count: eo
-                        .get("count")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| format!("profile: edge {i} missing `count`"))?,
+                    count: json::u64_field(eo, &ctx, "count")?,
                 });
             }
         }
@@ -183,286 +176,16 @@ impl Profile {
             {
                 let fo =
                     f.as_object().ok_or_else(|| format!("profile: func {i} must be an object"))?;
+                let ctx = format!("profile: func {i}");
                 p.funcs.push(FuncCount {
-                    name: fo
-                        .get("name")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| format!("profile: func {i} missing `name`"))?
-                        .to_string(),
-                    instructions: fo
-                        .get("instructions")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| format!("profile: func {i} missing `instructions`"))?,
+                    name: json::str_field(fo, &ctx, "name")?,
+                    instructions: json::u64_field(fo, &ctx, "instructions")?,
                 });
             }
         }
         p.edges.sort();
         p.funcs.sort();
         Ok(p)
-    }
-}
-
-/// Append `s` to `out` as a JSON string literal. Public because `knit`'s
-/// protocol codec shares this exact escaping (the two codecs must agree on
-/// the bytes a string serializes to).
-pub fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// A parsed JSON value (just enough JSON for the profile schema).
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    /// Unsigned integer (the only number kind the schema emits); kept as
-    /// `u64` so counts above 2^53 survive the round trip exactly.
-    Int(u64),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    fn as_object(&self) -> Option<&BTreeMap<String, Json>> {
-        match self {
-            Json::Obj(m) => Some(m),
-            _ => None,
-        }
-    }
-    fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-    fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Int(n) => Some(*n),
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
-            _ => None,
-        }
-    }
-}
-
-/// Minimal recursive-descent JSON parser.
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn new(text: &'a str) -> Self {
-        JsonParser { bytes: text.as_bytes(), pos: 0 }
-    }
-
-    fn parse(mut self) -> Result<Json, String> {
-        let v = self.value()?;
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(format!("json: trailing garbage at byte {}", self.pos));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("json: expected `{}` at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("json: bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(format!("json: unexpected input at byte {}", self.pos)),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut m = BTreeMap::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(m));
-        }
-        loop {
-            let key = match self.peek() {
-                Some(b'"') => self.string()?,
-                _ => return Err(format!("json: expected object key at byte {}", self.pos)),
-            };
-            self.expect(b':')?;
-            let v = self.value()?;
-            m.insert(key, v);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(m));
-                }
-                _ => return Err(format!("json: expected `,` or `}}` at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut v = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(v));
-        }
-        loop {
-            v.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(v));
-                }
-                _ => return Err(format!("json: expected `,` or `]` at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return Err("json: unterminated string".to_string());
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&e) = self.bytes.get(self.pos) else {
-                        return Err("json: unterminated escape".to_string());
-                    };
-                    self.pos += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or("json: bad \\u escape")?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "json: bad \\u escape".to_string())?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(format!("json: bad escape `\\{}`", other as char)),
-                    }
-                }
-                _ => {
-                    // Multi-byte UTF-8: copy the whole scalar.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b);
-                    let end = start + len;
-                    let s = self
-                        .bytes
-                        .get(start..end)
-                        .and_then(|bs| std::str::from_utf8(bs).ok())
-                        .ok_or("json: invalid utf-8 in string")?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b.is_ascii_digit() || b == b'.' || b == b'e' || b == b'E' || b == b'+' || b == b'-' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| format!("json: bad number at byte {start}"))?;
-        if let Ok(n) = text.parse::<u64>() {
-            return Ok(Json::Int(n));
-        }
-        text.parse::<f64>().map(Json::Num).map_err(|_| format!("json: bad number at byte {start}"))
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
     }
 }
 
@@ -506,9 +229,13 @@ mod tests {
     #[test]
     fn json_round_trips_weird_names() {
         let mut p = Profile::default();
-        p.funcs.push(FuncCount { name: "we\"ird\\name\n\u{1}é".into(), instructions: 1 });
+        p.funcs.push(FuncCount { name: "we\"ird\\name\n\u{1}é𝔣".into(), instructions: 1 });
         let back = Profile::from_json(&p.to_json()).unwrap();
         assert_eq!(p, back);
+        // A non-BMP name written as an escaped surrogate pair decodes to
+        // the one scalar it names.
+        let text = r#"{"funcs": [{"name": "\ud835\udd23", "instructions": 1}]}"#;
+        assert_eq!(Profile::from_json(text).unwrap().funcs[0].name, "𝔣");
     }
 
     #[test]
@@ -526,6 +253,9 @@ mod tests {
         assert!(Profile::from_json("{\"edges\": 3}").is_err());
         assert!(Profile::from_json("{} trailing").is_err());
         assert!(Profile::from_json("{\"edges\": [{\"caller\": \"a\"}]}").is_err());
+        assert!(
+            Profile::from_json(r#"{"funcs": [{"name": "\ud835", "instructions": 1}]}"#).is_err()
+        );
     }
 
     #[test]
