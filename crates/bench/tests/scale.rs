@@ -294,4 +294,33 @@ fn one_edit_in_a_10k_unit_session_is_incremental() {
     assert_eq!(s4.elaborate.runs, 2, "interface edit re-elaborates");
     assert_eq!(report.elaboration.stats.template_copies, params.replicas - 1);
     assert_eq!(report.elaboration.stats.instances_stamped, (params.replicas - 1) * PACK_DEPTH);
+
+    // 5. Code edit: change the constant `u1_0_f0` (unit `U1_0`) returns. Unlike step 1's
+    //    comment, this changes object code: exactly that unit recompiles,
+    //    exactly its instances rerun objcopy, and the link reruns once (a
+    //    same-shape relink) — to the image a cold build of the tree makes.
+    let text = session.tree().get(&path).expect("layer source exists").to_string();
+    let body = text.find("_f0() { return ").expect("layer unit defines f0");
+    let end = body + text[body..].find("; }").expect("f0 body ends");
+    let start = text[..end].rfind(|c: char| !c.is_ascii_digit()).expect("f0 has a body") + 1;
+    let old: u64 = text[start..end].parse().expect("f0 ends in a constant");
+    session.update_source(&path, &format!("{}{}{}", &text[..start], old + 1, &text[end..]));
+    let report = session.build().expect("code-edit rebuild");
+    let s5 = session.stats().clone();
+    let instances =
+        report.elaboration.instances.iter().filter(|i| i.unit.as_str() == "U1_0").count();
+    assert!(instances > 0, "the edited unit is instantiated");
+    assert_eq!(s5.unit_compiles.runs, s4.unit_compiles.runs + 1, "one edit, one recompile");
+    assert_eq!(s5.objcopy.runs, s4.objcopy.runs + instances, "objcopy reruns per instance");
+    assert_eq!(s5.link.runs, s4.link.runs + 1, "one relink");
+    assert_eq!(s5.elaborate.runs, s4.elaborate.runs);
+    assert_eq!(s5.schedule.runs, s4.schedule.runs);
+    assert_eq!(s5.generate.runs, s4.generate.runs);
+    let cold =
+        knit::build(session.program(), session.tree(), session.options()).expect("cold build");
+    assert_eq!(
+        image_hash(&report.image),
+        image_hash(&cold.image),
+        "incremental image == cold image"
+    );
 }

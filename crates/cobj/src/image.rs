@@ -8,6 +8,7 @@
 //! of the paper's Table 1) emerge from layout, exactly as on hardware.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::ir::{BinOp, Reg, UnOp, Width};
 
@@ -104,13 +105,19 @@ pub struct ImageFunc {
 /// layout and code — two images are `==` exactly when they are
 /// byte-identical, which the parallel/cached build pipeline's determinism
 /// tests rely on.
+///
+/// The bulk of an image is shared, not owned: each function and the two
+/// lookup maps sit behind an [`Arc`], so `clone` copies one pointer per
+/// function plus the data segment, and a relink
+/// ([`crate::ld::Linked::relink`]) replaces only the functions it
+/// re-resolved. Equality still compares contents.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Image {
     /// All functions, laid out in link order starting at [`TEXT_BASE`].
-    pub funcs: Vec<ImageFunc>,
+    pub funcs: Vec<Arc<ImageFunc>>,
     /// Map from function entry address to function index (for indirect
     /// calls through function pointers).
-    pub addr_to_func: BTreeMap<u64, u32>,
+    pub addr_to_func: Arc<BTreeMap<u64, u32>>,
     /// The data segment contents (initialized + zeroed), based at
     /// [`Image::data_base`].
     pub data: Vec<u8>,
@@ -119,7 +126,7 @@ pub struct Image {
     /// First address past the data segment; the machine's heap starts here.
     pub heap_base: u64,
     /// Link-visible symbols by (post-rename) name.
-    pub symbols: BTreeMap<String, SymbolLoc>,
+    pub symbols: Arc<BTreeMap<String, SymbolLoc>>,
     /// Runtime intrinsic names, in id order. `CallTarget::Intrinsic(i)`
     /// refers to `intrinsics[i]`.
     pub intrinsics: Vec<String>,
@@ -197,11 +204,11 @@ mod tests {
     fn intrinsic_addresses_round_trip() {
         let img = Image {
             funcs: vec![],
-            addr_to_func: BTreeMap::new(),
+            addr_to_func: Arc::default(),
             data: vec![],
             data_base: 0x20000,
             heap_base: 0x30000,
-            symbols: BTreeMap::new(),
+            symbols: Arc::default(),
             intrinsics: vec!["__con_putc".into(), "__halt".into()],
             text_size: 0,
             entry: None,

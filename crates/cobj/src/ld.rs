@@ -18,15 +18,22 @@
 //!
 //! Undefined names listed in [`LinkOptions::runtime_symbols`] are satisfied
 //! by the runtime (the `machine` crate's intrinsics) rather than by objects.
+//!
+//! [`Linked`] keeps what one link decided — every symbol's resolution and
+//! every function's address — so that relinking after a few objects
+//! changed *without changing their shape* (see [`ObjectFile::same_shape`])
+//! re-resolves only those objects' code and data. Both paths run the same
+//! two helpers, `resolve_func` and `write_data`.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use crate::archive::Archive;
 use crate::error::LinkError;
 use crate::image::{
     align_up, CallTarget, Image, ImageFunc, RInstr, SymbolLoc, FUNC_ALIGN, TEXT_BASE,
 };
-use crate::ir::{Instr, SymId};
+use crate::ir::Instr;
 use crate::layout::{FuncMeta, Layout};
 use crate::object::{FuncDef, ObjectFile, SymDef};
 
@@ -40,7 +47,7 @@ pub enum LinkInput {
 }
 
 /// Linker configuration.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LinkOptions {
     /// Entry symbol to record in the image (must be a defined function if
     /// given).
@@ -72,88 +79,93 @@ impl LinkOptions {
 
 /// Link `inputs` into an executable [`Image`].
 pub fn link(inputs: &[LinkInput], opts: &LinkOptions) -> Result<Image, LinkError> {
-    let included = select_objects(inputs, opts)?;
-    layout(&included, opts)
+    let mut sel = Selection::default();
+    for input in inputs {
+        match input {
+            LinkInput::Object(o) => sel.include(o, opts)?,
+            LinkInput::Archive(a) => sel.pull(a, opts)?,
+        }
+    }
+    Ok(layout(&sel.finish()?, opts)?.0)
 }
 
 /// Phase 1: decide which objects participate, applying archive semantics.
-fn select_objects(inputs: &[LinkInput], opts: &LinkOptions) -> Result<Vec<ObjectFile>, LinkError> {
-    let mut included: Vec<ObjectFile> = Vec::new();
-    // name -> index of including object in `included`
-    let mut defined: BTreeMap<String, usize> = BTreeMap::new();
-    // names referenced but not yet defined (runtime-satisfied names never
-    // enter this set, so they do not pull archive members)
-    let mut undefined: BTreeSet<String> = BTreeSet::new();
+#[derive(Default)]
+struct Selection<'a> {
+    included: Vec<&'a ObjectFile>,
+    /// name -> index of the including object in `included`
+    defined: BTreeMap<&'a str, usize>,
+    /// names referenced but not yet defined (runtime-satisfied names never
+    /// enter this set, so they do not pull archive members)
+    undefined: BTreeSet<&'a str>,
+}
 
-    let include = |obj: &ObjectFile,
-                   included: &mut Vec<ObjectFile>,
-                   defined: &mut BTreeMap<String, usize>,
-                   undefined: &mut BTreeSet<String>|
-     -> Result<(), LinkError> {
+impl<'a> Selection<'a> {
+    fn include(&mut self, obj: &'a ObjectFile, opts: &LinkOptions) -> Result<(), LinkError> {
         obj.validate()?;
-        let idx = included.len();
+        let idx = self.included.len();
         for s in &obj.symbols {
             if s.is_global_def() {
-                if let Some(&first) = defined.get(&s.name) {
+                if let Some(&first) = self.defined.get(s.name.as_str()) {
                     return Err(LinkError::MultipleDefinition {
                         name: s.name.clone(),
-                        first: included[first].name.clone(),
+                        first: self.included[first].name.clone(),
                         second: obj.name.clone(),
                     });
                 }
-                defined.insert(s.name.clone(), idx);
-                undefined.remove(&s.name);
+                self.defined.insert(&s.name, idx);
+                self.undefined.remove(s.name.as_str());
             }
         }
         for s in &obj.symbols {
             if s.def == SymDef::Undefined
-                && !defined.contains_key(&s.name)
+                && !self.defined.contains_key(s.name.as_str())
                 && !opts.runtime_symbols.contains(&s.name)
             {
-                undefined.insert(s.name.clone());
+                self.undefined.insert(&s.name);
             }
         }
-        included.push(obj.clone());
+        self.included.push(obj);
         Ok(())
-    };
+    }
 
-    for input in inputs {
-        match input {
-            LinkInput::Object(o) => include(o, &mut included, &mut defined, &mut undefined)?,
-            LinkInput::Archive(a) => {
-                let mut pulled_members: BTreeSet<usize> = BTreeSet::new();
-                loop {
-                    let mut pulled = false;
-                    for (mi, m) in a.members.iter().enumerate() {
-                        if pulled_members.contains(&mi) {
-                            continue;
-                        }
-                        let satisfies = m.exported_names().iter().any(|n| undefined.contains(*n));
-                        if satisfies {
-                            include(m, &mut included, &mut defined, &mut undefined)?;
-                            pulled_members.insert(mi);
-                            pulled = true;
-                        }
-                    }
-                    if !pulled {
-                        break;
-                    }
+    fn pull(&mut self, a: &'a Archive, opts: &LinkOptions) -> Result<(), LinkError> {
+        let mut pulled_members: BTreeSet<usize> = BTreeSet::new();
+        loop {
+            let mut pulled = false;
+            for (mi, m) in a.members.iter().enumerate() {
+                if pulled_members.contains(&mi) {
+                    continue;
+                }
+                if m.exported_names().iter().any(|n| self.undefined.contains(*n)) {
+                    self.include(m, opts)?;
+                    pulled_members.insert(mi);
+                    pulled = true;
                 }
             }
+            if !pulled {
+                return Ok(());
+            }
         }
     }
 
-    if let Some(name) = undefined.iter().next() {
-        // Gather every object that references the first missing name, for a
-        // useful diagnostic.
-        let refs: Vec<String> = included
-            .iter()
-            .filter(|o| o.undefined_names().contains(name.as_str()))
-            .map(|o| o.name.clone())
-            .collect();
-        return Err(LinkError::UndefinedReference { name: name.clone(), referenced_from: refs });
+    fn finish(self) -> Result<Vec<&'a ObjectFile>, LinkError> {
+        if let Some(name) = self.undefined.iter().next() {
+            // Gather every object that references the first missing name,
+            // for a useful diagnostic.
+            let refs: Vec<String> = self
+                .included
+                .iter()
+                .filter(|o| o.undefined_names().contains(name))
+                .map(|o| o.name.clone())
+                .collect();
+            return Err(LinkError::UndefinedReference {
+                name: name.to_string(),
+                referenced_from: refs,
+            });
+        }
+        Ok(self.included)
     }
-    Ok(included)
 }
 
 /// Resolution of one symbol-table entry of one included object.
@@ -164,14 +176,28 @@ enum Resolved {
     Intrinsic(u32),
 }
 
-/// Phase 2: lay out text and data, apply relocations, resolve operands.
-fn layout(included: &[ObjectFile], opts: &LinkOptions) -> Result<Image, LinkError> {
-    // --- assign text addresses ---
-    struct FuncSlot<'a> {
-        obj: usize,
-        def: &'a FuncDef,
-        addr: u64,
+/// Where a link put everything: the resolution of every symbol-table entry
+/// of every included object (dense, by `SymId`) and every function's
+/// address. Unchanged by a same-shape relink.
+#[derive(Debug)]
+struct Placement {
+    tables: Vec<Vec<Resolved>>,
+    func_addrs: Vec<u64>,
+}
+
+impl Placement {
+    fn value(&self, r: Resolved) -> u64 {
+        match r {
+            Resolved::Func(fi) => self.func_addrs[fi as usize],
+            Resolved::Data(a) => a,
+            Resolved::Intrinsic(id) => Image::intrinsic_addr(id),
+        }
     }
+}
+
+/// Phase 2: lay out text and data, apply relocations, resolve operands.
+fn layout(included: &[&ObjectFile], opts: &LinkOptions) -> Result<(Image, Placement), LinkError> {
+    // --- assign text addresses ---
     // Gather candidates in input order, then let the layout strategy pick
     // the placement order. `InputOrder` returns the identity permutation,
     // reproducing the historical images byte-for-byte.
@@ -185,26 +211,29 @@ fn layout(included: &[ObjectFile], opts: &LinkOptions) -> Result<Image, LinkErro
     }
     let order = opts.layout.order(&metas);
     debug_assert_eq!(order.len(), raw.len());
-    let mut slots: Vec<FuncSlot<'_>> = Vec::with_capacity(raw.len());
+    let mut tables: Vec<Vec<Resolved>> =
+        included.iter().map(|o| vec![Resolved::Intrinsic(u32::MAX); o.symbols.len()]).collect();
+    let mut slots: Vec<(usize, &FuncDef)> = Vec::with_capacity(raw.len());
+    let mut func_addrs: Vec<u64> = Vec::with_capacity(raw.len());
     let mut cursor = TEXT_BASE;
     for &ri in &order {
         let (oi, f) = raw[ri];
         cursor = align_up(cursor, FUNC_ALIGN);
-        slots.push(FuncSlot { obj: oi, def: f, addr: cursor });
-        cursor += f.size_bytes();
+        tables[oi][f.sym.0 as usize] = Resolved::Func(slots.len() as u32);
+        slots.push((oi, f));
+        func_addrs.push(cursor);
+        cursor += metas[ri].size;
     }
     let text_end = cursor;
-    let text_size: u64 = included.iter().map(|o| o.text_size()).sum();
+    let text_size: u64 = metas.iter().map(|m| m.size).sum();
 
     // --- assign data addresses ---
     let data_base = align_up(text_end, 0x1000);
     let mut data_cursor = data_base;
-    // (object idx, data idx) -> address
-    let mut data_addrs: BTreeMap<(usize, usize), u64> = BTreeMap::new();
     for (oi, obj) in included.iter().enumerate() {
-        for (di, d) in obj.data.iter().enumerate() {
+        for d in &obj.data {
             data_cursor = align_up(data_cursor, d.align.max(1));
-            data_addrs.insert((oi, di), data_cursor);
+            tables[oi][d.sym.0 as usize] = Resolved::Data(data_cursor);
             data_cursor += d.size_bytes();
         }
     }
@@ -215,27 +244,12 @@ fn layout(included: &[ObjectFile], opts: &LinkOptions) -> Result<Image, LinkErro
     let intrinsic_ids: BTreeMap<&str, u32> =
         intrinsics.iter().enumerate().map(|(i, n)| (n.as_str(), i as u32)).collect();
 
-    // --- global resolution tables ---
-    // func symbol name -> image func index; data name -> address
+    // --- global resolution table: every non-local definition ---
     let mut global: BTreeMap<&str, Resolved> = BTreeMap::new();
-    // per-object: SymId -> Resolved (includes locals)
-    let mut per_obj: Vec<BTreeMap<u32, Resolved>> = vec![BTreeMap::new(); included.len()];
-
-    for (fi, slot) in slots.iter().enumerate() {
-        let obj = &included[slot.obj];
-        let sym = obj.symbol(slot.def.sym);
-        per_obj[slot.obj].insert(slot.def.sym.0, Resolved::Func(fi as u32));
-        if sym.is_global_def() {
-            global.insert(sym.name.as_str(), Resolved::Func(fi as u32));
-        }
-    }
     for (oi, obj) in included.iter().enumerate() {
-        for (di, d) in obj.data.iter().enumerate() {
-            let addr = data_addrs[&(oi, di)];
-            let sym = obj.symbol(d.sym);
-            per_obj[oi].insert(d.sym.0, Resolved::Data(addr));
-            if sym.is_global_def() {
-                global.insert(sym.name.as_str(), Resolved::Data(addr));
+        for (si, s) in obj.symbols.iter().enumerate() {
+            if s.is_global_def() {
+                global.insert(s.name.as_str(), tables[oi][si]);
             }
         }
     }
@@ -243,11 +257,11 @@ fn layout(included: &[ObjectFile], opts: &LinkOptions) -> Result<Image, LinkErro
     for (oi, obj) in included.iter().enumerate() {
         for (si, s) in obj.symbols.iter().enumerate() {
             if s.def == SymDef::Undefined {
-                let r = match global.get(s.name.as_str()) {
+                tables[oi][si] = match global.get(s.name.as_str()) {
                     Some(r) => *r,
                     None => match intrinsic_ids.get(s.name.as_str()) {
                         Some(id) => Resolved::Intrinsic(*id),
-                        // select_objects guarantees this cannot happen
+                        // Selection guarantees this cannot happen
                         None => {
                             return Err(LinkError::UndefinedReference {
                                 name: s.name.clone(),
@@ -256,105 +270,21 @@ fn layout(included: &[ObjectFile], opts: &LinkOptions) -> Result<Image, LinkErro
                         }
                     },
                 };
-                per_obj[oi].insert(si as u32, r);
             }
         }
     }
+    let placement = Placement { tables, func_addrs };
 
     // --- build image functions with resolved bodies ---
-    let resolve_addr_value = |r: Resolved, slots: &[FuncSlot<'_>]| -> u64 {
-        match r {
-            Resolved::Func(fi) => slots[fi as usize].addr,
-            Resolved::Data(a) => a,
-            Resolved::Intrinsic(id) => Image::intrinsic_addr(id),
-        }
-    };
-
-    let mut funcs: Vec<ImageFunc> = Vec::with_capacity(slots.len());
-    for slot in &slots {
-        let obj = &included[slot.obj];
-        let name = obj.symbol(slot.def.sym).name.clone();
-        let mut body = Vec::with_capacity(slot.def.body.len());
-        let mut instr_addrs = Vec::with_capacity(slot.def.body.len());
-        let mut instr_sizes = Vec::with_capacity(slot.def.body.len());
-        let mut pc = slot.addr;
-        for instr in &slot.def.body {
-            let size = instr.size_bytes();
-            instr_addrs.push(pc);
-            instr_sizes.push(size as u16);
-            pc += size;
-            let resolve = |sym: SymId| per_obj[slot.obj][&sym.0];
-            let r = match instr {
-                Instr::Const { dst, value } => RInstr::Const { dst: *dst, value: *value },
-                Instr::Mov { dst, src } => RInstr::Mov { dst: *dst, src: *src },
-                Instr::Bin { op, dst, a, b } => RInstr::Bin { op: *op, dst: *dst, a: *a, b: *b },
-                Instr::Un { op, dst, a } => RInstr::Un { op: *op, dst: *dst, a: *a },
-                Instr::Load { dst, addr, offset, width } => {
-                    RInstr::Load { dst: *dst, addr: *addr, offset: *offset, width: *width }
-                }
-                Instr::Store { addr, offset, src, width } => {
-                    RInstr::Store { addr: *addr, offset: *offset, src: *src, width: *width }
-                }
-                Instr::Addr { dst, sym, offset } => {
-                    let base = resolve_addr_value(resolve(*sym), &slots);
-                    RInstr::Const { dst: *dst, value: base.wrapping_add_signed(*offset) as i64 }
-                }
-                Instr::FrameAddr { dst, offset } => {
-                    RInstr::FrameAddr { dst: *dst, offset: *offset }
-                }
-                Instr::VarArg { dst, idx } => RInstr::VarArg { dst: *dst, idx: *idx },
-                Instr::Call { dst, target, args } => {
-                    let tgt = match resolve(*target) {
-                        Resolved::Func(fi) => CallTarget::Func(fi),
-                        Resolved::Intrinsic(id) => CallTarget::Intrinsic(id),
-                        Resolved::Data(_) => {
-                            return Err(LinkError::KindMismatch {
-                                name: obj.symbol(*target).name.clone(),
-                                from: obj.name.clone(),
-                            })
-                        }
-                    };
-                    RInstr::Call { dst: *dst, target: tgt, args: args.clone() }
-                }
-                Instr::CallInd { dst, target, args } => {
-                    RInstr::CallInd { dst: *dst, target: *target, args: args.clone() }
-                }
-                Instr::Jump { target } => RInstr::Jump { target: *target },
-                Instr::Branch { cond, then_to, else_to } => {
-                    RInstr::Branch { cond: *cond, then_to: *then_to, else_to: *else_to }
-                }
-                Instr::Ret { value } => RInstr::Ret { value: *value },
-                Instr::Nop => RInstr::Nop,
-            };
-            body.push(r);
-        }
-        funcs.push(ImageFunc {
-            name,
-            addr: slot.addr,
-            size: slot.def.size_bytes(),
-            params: slot.def.params,
-            nregs: slot.def.nregs,
-            frame_size: slot.def.frame_size,
-            body,
-            instr_addrs,
-            instr_sizes,
-        });
+    let mut funcs: Vec<Arc<ImageFunc>> = Vec::with_capacity(slots.len());
+    for (fi, &(oi, def)) in slots.iter().enumerate() {
+        funcs.push(Arc::new(resolve_func(included[oi], def, fi, oi, &placement)?));
     }
 
     // --- build and relocate the data segment ---
     let mut data = vec![0u8; (data_cursor - data_base) as usize];
     for (oi, obj) in included.iter().enumerate() {
-        for (di, d) in obj.data.iter().enumerate() {
-            let addr = data_addrs[&(oi, di)];
-            let off = (addr - data_base) as usize;
-            data[off..off + d.init.len()].copy_from_slice(&d.init);
-            for reloc in &d.relocs {
-                let target = per_obj[oi][&reloc.sym.0];
-                let value = resolve_addr_value(target, &slots).wrapping_add_signed(reloc.addend);
-                let at = off + reloc.offset as usize;
-                data[at..at + 8].copy_from_slice(&value.to_le_bytes());
-            }
-        }
+        write_data(&mut data, data_base, obj, oi, &placement);
     }
 
     // --- symbol map and entry ---
@@ -378,17 +308,229 @@ fn layout(included: &[ObjectFile], opts: &LinkOptions) -> Result<Image, LinkErro
     let addr_to_func =
         funcs.iter().enumerate().map(|(i, f)| (f.addr, i as u32)).collect::<BTreeMap<_, _>>();
 
-    Ok(Image {
+    let image = Image {
         funcs,
-        addr_to_func,
+        addr_to_func: Arc::new(addr_to_func),
         data,
         data_base,
         heap_base,
-        symbols,
+        symbols: Arc::new(symbols),
         intrinsics,
         text_size,
         entry,
+    };
+    Ok((image, placement))
+}
+
+/// Resolve function `def` of object `oi` (`obj`), placed as image function
+/// `fi`: symbolic operands become addresses and call targets.
+fn resolve_func(
+    obj: &ObjectFile,
+    def: &FuncDef,
+    fi: usize,
+    oi: usize,
+    placement: &Placement,
+) -> Result<ImageFunc, LinkError> {
+    let table = &placement.tables[oi];
+    let resolve = |sym: crate::ir::SymId| table[sym.0 as usize];
+    let addr = placement.func_addrs[fi];
+    let mut body = Vec::with_capacity(def.body.len());
+    let mut instr_addrs = Vec::with_capacity(def.body.len());
+    let mut instr_sizes = Vec::with_capacity(def.body.len());
+    let mut pc = addr;
+    for instr in &def.body {
+        let size = instr.size_bytes();
+        instr_addrs.push(pc);
+        instr_sizes.push(size as u16);
+        pc += size;
+        let r = match instr {
+            Instr::Const { dst, value } => RInstr::Const { dst: *dst, value: *value },
+            Instr::Mov { dst, src } => RInstr::Mov { dst: *dst, src: *src },
+            Instr::Bin { op, dst, a, b } => RInstr::Bin { op: *op, dst: *dst, a: *a, b: *b },
+            Instr::Un { op, dst, a } => RInstr::Un { op: *op, dst: *dst, a: *a },
+            Instr::Load { dst, addr, offset, width } => {
+                RInstr::Load { dst: *dst, addr: *addr, offset: *offset, width: *width }
+            }
+            Instr::Store { addr, offset, src, width } => {
+                RInstr::Store { addr: *addr, offset: *offset, src: *src, width: *width }
+            }
+            Instr::Addr { dst, sym, offset } => {
+                let base = placement.value(resolve(*sym));
+                RInstr::Const { dst: *dst, value: base.wrapping_add_signed(*offset) as i64 }
+            }
+            Instr::FrameAddr { dst, offset } => RInstr::FrameAddr { dst: *dst, offset: *offset },
+            Instr::VarArg { dst, idx } => RInstr::VarArg { dst: *dst, idx: *idx },
+            Instr::Call { dst, target, args } => {
+                let tgt = match resolve(*target) {
+                    Resolved::Func(fi) => CallTarget::Func(fi),
+                    Resolved::Intrinsic(id) => CallTarget::Intrinsic(id),
+                    Resolved::Data(_) => {
+                        return Err(LinkError::KindMismatch {
+                            name: obj.symbol(*target).name.clone(),
+                            from: obj.name.clone(),
+                        })
+                    }
+                };
+                RInstr::Call { dst: *dst, target: tgt, args: args.clone() }
+            }
+            Instr::CallInd { dst, target, args } => {
+                RInstr::CallInd { dst: *dst, target: *target, args: args.clone() }
+            }
+            Instr::Jump { target } => RInstr::Jump { target: *target },
+            Instr::Branch { cond, then_to, else_to } => {
+                RInstr::Branch { cond: *cond, then_to: *then_to, else_to: *else_to }
+            }
+            Instr::Ret { value } => RInstr::Ret { value: *value },
+            Instr::Nop => RInstr::Nop,
+        };
+        body.push(r);
+    }
+    Ok(ImageFunc {
+        name: obj.symbol(def.sym).name.clone(),
+        addr,
+        size: pc - addr,
+        params: def.params,
+        nregs: def.nregs,
+        frame_size: def.frame_size,
+        body,
+        instr_addrs,
+        instr_sizes,
     })
+}
+
+/// Copy object `oi`'s (`obj`'s) initialized data into the data segment
+/// `data` (based at `data_base`) and patch its relocations. Zeroed tails
+/// are left as they are.
+fn write_data(data: &mut [u8], data_base: u64, obj: &ObjectFile, oi: usize, placement: &Placement) {
+    let table = &placement.tables[oi];
+    for d in &obj.data {
+        let Resolved::Data(addr) = table[d.sym.0 as usize] else {
+            unreachable!("a data definition resolves to its own address")
+        };
+        let off = (addr - data_base) as usize;
+        data[off..off + d.init.len()].copy_from_slice(&d.init);
+        for reloc in &d.relocs {
+            let value =
+                placement.value(table[reloc.sym.0 as usize]).wrapping_add_signed(reloc.addend);
+            let at = off + reloc.offset as usize;
+            data[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        }
+    }
+}
+
+/// How [`Linked::relink`] produced its image.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Relink {
+    /// Every replaced object kept its shape: only those objects' function
+    /// bodies and data bytes were re-resolved, into the previous layout.
+    Patched {
+        /// Objects re-resolved.
+        objects: usize,
+    },
+    /// The object list or the options changed, or some replaced object
+    /// changed shape: a full link.
+    Full,
+}
+
+/// The result of linking a list of explicit objects, kept so the next
+/// link of a slightly different list can reuse it.
+///
+/// [`Linked::relink`] compares the new list with the one linked last. An
+/// entry that is the same [`Arc`] is unchanged. When the lists have the
+/// same length, the options are equal, and every other entry has the
+/// [shape](ObjectFile::same_shape) of the object it replaces, then every
+/// address and every symbol resolution is unchanged: only the replaced
+/// objects' code and data are resolved again. Any other change runs the
+/// full link. Either way the image equals what [`link`] makes of the same
+/// objects.
+#[derive(Debug)]
+pub struct Linked {
+    /// The linked image.
+    pub image: Image,
+    objects: Vec<Arc<ObjectFile>>,
+    opts: LinkOptions,
+    placement: Placement,
+}
+
+impl Linked {
+    /// Link `objects`, all explicitly included, in order.
+    pub fn link(objects: Vec<Arc<ObjectFile>>, opts: &LinkOptions) -> Result<Linked, LinkError> {
+        let mut sel = Selection::default();
+        for o in &objects {
+            sel.include(o, opts)?;
+        }
+        let (image, placement) = layout(&sel.finish()?, opts)?;
+        Ok(Linked { image, objects, opts: opts.clone(), placement })
+    }
+
+    /// Relink with `objects` and `opts` in place of the last link's. On an
+    /// error `self` is left as it was.
+    pub fn relink(
+        &mut self,
+        objects: Vec<Arc<ObjectFile>>,
+        opts: &LinkOptions,
+    ) -> Result<Relink, LinkError> {
+        let Some(changed) = self.replaced_same_shape(&objects, opts) else {
+            *self = Linked::link(objects, opts)?;
+            return Ok(Relink::Full);
+        };
+        for &oi in &changed {
+            objects[oi].validate()?;
+        }
+        // Resolve in placement order, as the full link does, so the first
+        // error reported is the same one.
+        let mut slots: Vec<(usize, usize, &FuncDef)> = Vec::new();
+        for &oi in &changed {
+            for def in &objects[oi].funcs {
+                let Resolved::Func(fi) = self.placement.tables[oi][def.sym.0 as usize] else {
+                    unreachable!("a function definition resolves to its own slot")
+                };
+                slots.push((fi as usize, oi, def));
+            }
+        }
+        slots.sort_unstable_by_key(|s| s.0);
+        let mut funcs = Vec::with_capacity(slots.len());
+        for &(fi, oi, def) in &slots {
+            funcs.push((fi, resolve_func(&objects[oi], def, fi, oi, &self.placement)?));
+        }
+        for (fi, f) in funcs {
+            self.image.funcs[fi] = Arc::new(f);
+        }
+        for &oi in &changed {
+            write_data(
+                &mut self.image.data,
+                self.image.data_base,
+                &objects[oi],
+                oi,
+                &self.placement,
+            );
+        }
+        self.objects = objects;
+        Ok(Relink::Patched { objects: changed.len() })
+    }
+
+    /// Indices of the entries of `objects` that replace an object of the
+    /// last link, or `None` when a relink would not keep the placement.
+    fn replaced_same_shape(
+        &self,
+        objects: &[Arc<ObjectFile>],
+        opts: &LinkOptions,
+    ) -> Option<Vec<usize>> {
+        if objects.len() != self.objects.len() || *opts != self.opts {
+            return None;
+        }
+        let mut changed = Vec::new();
+        for (oi, (new, old)) in objects.iter().zip(&self.objects).enumerate() {
+            if Arc::ptr_eq(new, old) {
+                continue;
+            }
+            if !new.same_shape(old) {
+                return None;
+            }
+            changed.push(oi);
+        }
+        Some(changed)
+    }
 }
 
 #[cfg(test)]

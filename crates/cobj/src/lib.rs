@@ -38,5 +38,5 @@ pub use error::{LinkError, ObjectError};
 pub use image::{CallTarget, Image, ImageFunc, RInstr, SymbolLoc};
 pub use ir::{BinOp, Instr, SymId, UnOp, Width};
 pub use layout::{Layout, LayoutProfile};
-pub use ld::{link, LinkInput, LinkOptions};
+pub use ld::{link, LinkInput, LinkOptions, Linked, Relink};
 pub use object::{DataDef, DataReloc, FuncDef, ObjectFile, SymDef, SymKind, Symbol};

@@ -191,6 +191,29 @@ impl ObjectFile {
         self.funcs.iter().map(FuncDef::size_bytes).sum()
     }
 
+    /// True when `self` and `other` have the same *shape*: equal symbol
+    /// tables (names and definitions, in order), functions with the same
+    /// symbols and encoded sizes, and data with the same symbols, initialized
+    /// lengths, zeroed tails and alignments. Swapping an object for one of
+    /// the same shape moves no address and no symbol resolution in a link,
+    /// which is what lets [`crate::ld::Linked::relink`] patch it in place.
+    pub fn same_shape(&self, other: &ObjectFile) -> bool {
+        self.symbols == other.symbols
+            && self.funcs.len() == other.funcs.len()
+            && self.data.len() == other.data.len()
+            && self
+                .funcs
+                .iter()
+                .zip(&other.funcs)
+                .all(|(a, b)| a.sym == b.sym && a.size_bytes() == b.size_bytes())
+            && self.data.iter().zip(&other.data).all(|(a, b)| {
+                a.sym == b.sym
+                    && a.init.len() == b.init.len()
+                    && a.zeroed == b.zeroed
+                    && a.align == b.align
+            })
+    }
+
     /// Structural validation: every symbol reference is in range, every
     /// defined func/data symbol has exactly one body, jump targets are in
     /// range, and no two symbols share a name unless both are local or one

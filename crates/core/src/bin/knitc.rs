@@ -727,16 +727,25 @@ const SELFTEST_UNIT: &str = r#"
 "#;
 const SELFTEST_C: &str = "int main() { return 42; }";
 
+/// How long the self-test waits for any one response or watch event.
+const SELFTEST_DEADLINE: Duration = Duration::from_secs(30);
+
 /// `knitc serve --once`: bind, build a built-in program through a real
 /// loopback connection, verify the wire image is byte-identical to a
 /// direct in-process session, check watch events arrive in order, shut
 /// down. Exit code reports the verdict — CI needs no background-process
-/// management.
+/// management. Every read has a deadline and every exit path sends
+/// `Shutdown`, so a failing self-test reports instead of hanging.
 fn serve_once(server: Server) -> ExitCode {
     let addr = server.addr().to_string();
     let handle = server.spawn();
+    let connect = || -> Result<Conn, String> {
+        let conn = Conn::connect(&addr).map_err(|e| format!("connect: {e}"))?;
+        conn.set_read_timeout(Some(SELFTEST_DEADLINE)).map_err(|e| format!("connect: {e}"))?;
+        Ok(conn)
+    };
     let verdict = (|| -> Result<(), String> {
-        let mut conn = Conn::connect(&addr).map_err(|e| format!("connect: {e}"))?;
+        let mut conn = connect()?;
         let mut options = SessionOptions::new("SelfTest");
         options.jobs = Some(1);
         let call = |conn: &mut Conn, req: &Request| -> Result<Response, String> {
@@ -798,19 +807,26 @@ fn serve_once(server: Server) -> ExitCode {
             },
         )?;
         call(&mut conn, &Request::Build { session: "selftest".into(), want_image: false })?;
+        // An event line may trail its build's response: wait for both.
         let mut seqs = Vec::new();
-        while let Some(e) = conn.poll_event() {
-            seqs.push(e.seq);
+        while seqs.len() < 2 {
+            seqs.push(conn.recv_event().map_err(|e| format!("watch event: {e}"))?.seq);
         }
+        seqs.extend(std::iter::from_fn(|| conn.poll_event()).map(|e| e.seq));
         if seqs != vec![1, 2] {
             return Err(format!("expected watch events [1, 2], got {seqs:?}"));
         }
-        match call(&mut conn, &Request::Shutdown)? {
-            Response::Bye => Ok(()),
-            other => Err(format!("unexpected shutdown response {other:?}")),
-        }
+        Ok(())
     })();
-    let joined = handle.join();
+    // Shut down on a fresh connection whatever the verdict: the test's own
+    // connection may be mid-response after a failure. Join only a server
+    // that acknowledged, so a wedged one fails the test instead of hanging.
+    let joined =
+        match connect().and_then(|mut c| c.call(&Request::Shutdown).map_err(|e| e.to_string())) {
+            Ok(Response::Bye) => handle.join().map_err(|e| e.to_string()),
+            Ok(other) => Err(format!("unexpected shutdown response {other:?}")),
+            Err(e) => Err(format!("shutdown: {e}")),
+        };
     match (verdict, joined) {
         (Ok(()), Ok(())) => {
             println!(

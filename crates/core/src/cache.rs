@@ -139,6 +139,19 @@ impl BuildCache {
     pub(crate) fn insert(&self, key: u64, unit: Arc<CompiledUnit>) {
         self.entries.lock().expect("cache lock").insert(key, unit);
     }
+
+    /// Hand back `unit`, cached under `key`, that a session edit
+    /// superseded. The entry is dropped when `unit` is the last reference
+    /// besides the cache's own: no session holds it any more, and keeping
+    /// it would grow the cache by one entry per edit for the life of a
+    /// server. An artifact another session (or the current build) still
+    /// holds stays cached for reuse.
+    pub(crate) fn release(&self, key: u64, unit: Arc<CompiledUnit>) {
+        let mut entries = self.entries.lock().expect("cache lock");
+        if entries.get(&key).is_some_and(|e| Arc::ptr_eq(e, &unit) && Arc::strong_count(e) == 2) {
+            entries.remove(&key);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -239,8 +239,9 @@ pub struct BuildReport {
     pub unit_compiles: Vec<UnitCompile>,
     /// The parallelism this build ran with.
     pub jobs: usize,
-    /// The elaboration (instance graph), for tools and tests.
-    pub elaboration: Elaboration,
+    /// The elaboration (instance graph), for tools and tests — shared with
+    /// the session memo, not copied.
+    pub elaboration: Arc<Elaboration>,
 }
 
 /// Mangled link-level name for an instance's export member.
@@ -540,6 +541,9 @@ pub(crate) fn c_id(body: &AtomicBody, port: &str, member: &str) -> String {
         .unwrap_or_else(|| member.to_string())
 }
 
+/// One instance's renaming: C identifier → link-level symbol.
+pub(crate) type SymbolMap = BTreeMap<String, String>;
+
 /// Build the link-level symbol map for one instance: exports to their
 /// mangles, imports to their providers' mangles (or raw member names when
 /// wired to the external world), everything else defined by the unit to a
@@ -551,7 +555,7 @@ pub(crate) fn instance_symbol_map(
     el: &Elaboration,
     inst_id: usize,
     cu: &CompiledUnit,
-) -> Result<BTreeMap<String, String>, KnitError> {
+) -> Result<SymbolMap, KnitError> {
     let inst = &el.instances[inst_id];
     let unit = &program.units[inst.unit.as_str()];
     let body = atomic_body(unit);
@@ -627,7 +631,7 @@ pub(crate) fn group_externals(
     el: &Elaboration,
     group: &BTreeSet<usize>,
     schedule: &Schedule,
-    maps: &[BTreeMap<String, String>],
+    maps: &[Arc<SymbolMap>],
 ) -> BTreeSet<String> {
     let mut ext: BTreeSet<String> = BTreeSet::new();
     fn add_port(
@@ -694,7 +698,7 @@ pub(crate) fn boot_object(
     program: &Program,
     el: &Elaboration,
     schedule: &Schedule,
-    maps: &[BTreeMap<String, String>],
+    maps: &[Arc<SymbolMap>],
     opts: &BuildOptions,
 ) -> Result<(ObjectFile, BTreeMap<String, String>), KnitError> {
     let mut obj = ObjectFile::new("__knit_boot.o");

@@ -26,6 +26,7 @@
 //! [`SessionHandle`]: crate::session::SessionHandle
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 use cobj::image::{CallTarget, RInstr, SymbolLoc};
@@ -1175,7 +1176,7 @@ pub fn encode_image_bytes(img: &Image) -> Vec<u8> {
         }
     }
     w.u32(img.addr_to_func.len() as u32);
-    for (&addr, &idx) in &img.addr_to_func {
+    for (&addr, &idx) in img.addr_to_func.iter() {
         w.u64(addr);
         w.u32(idx);
     }
@@ -1184,7 +1185,7 @@ pub fn encode_image_bytes(img: &Image) -> Vec<u8> {
     w.u64(img.data_base);
     w.u64(img.heap_base);
     w.u32(img.symbols.len() as u32);
-    for (name, loc) in &img.symbols {
+    for (name, loc) in img.symbols.iter() {
         w.str(name);
         match loc {
             SymbolLoc::Func(i) => {
@@ -1231,7 +1232,7 @@ pub fn decode_image_bytes(bytes: &[u8]) -> Result<Image, String> {
         let body = (0..nbody).map(|_| read_instr(&mut r)).collect::<Result<Vec<_>, _>>()?;
         let instr_addrs = (0..nbody).map(|_| r.u64()).collect::<Result<Vec<_>, _>>()?;
         let instr_sizes = (0..nbody).map(|_| r.u16()).collect::<Result<Vec<_>, _>>()?;
-        funcs.push(ImageFunc {
+        funcs.push(Arc::new(ImageFunc {
             name,
             addr,
             size,
@@ -1241,7 +1242,7 @@ pub fn decode_image_bytes(bytes: &[u8]) -> Result<Image, String> {
             body,
             instr_addrs,
             instr_sizes,
-        });
+        }));
     }
     let mut addr_to_func = BTreeMap::new();
     for _ in 0..r.u32()? {
@@ -1274,11 +1275,11 @@ pub fn decode_image_bytes(bytes: &[u8]) -> Result<Image, String> {
     }
     Ok(Image {
         funcs,
-        addr_to_func,
+        addr_to_func: Arc::new(addr_to_func),
         data,
         data_base,
         heap_base,
-        symbols,
+        symbols: Arc::new(symbols),
         intrinsics,
         text_size,
         entry,

@@ -40,6 +40,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use crate::analyze::LintConfig;
 use crate::cache::BuildCache;
@@ -431,6 +432,13 @@ impl Stream {
         }
     }
 
+    fn set_read_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
+        match self {
+            Stream::Unix(s) => s.set_read_timeout(dur),
+            Stream::Tcp(s) => s.set_read_timeout(dur),
+        }
+    }
+
     fn connect(addr: &str) -> io::Result<Stream> {
         if let Some(path) = addr.strip_prefix("unix:") {
             Ok(Stream::Unix(UnixStream::connect(path)?))
@@ -770,6 +778,13 @@ impl Conn {
                 resp => return Ok(resp),
             }
         }
+    }
+
+    /// Bound every later read ([`Conn::call`]'s response,
+    /// [`Conn::recv_event`]) to `dur`; a read that times out is an
+    /// [`io::Error`]. `None` (the default) waits indefinitely.
+    pub fn set_read_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
+        self.writer.set_read_timeout(dur)
     }
 
     /// Pop an already-received watch event, if any (non-blocking).

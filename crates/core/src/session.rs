@@ -31,7 +31,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cobj::object::ObjectFile;
-use cobj::{Image, Layout, LinkInput, LinkOptions};
+use cobj::{Layout, LinkOptions, Linked};
 use knit_lang::ast::{
     COp, CTarget, CTerm, Constraint, DepAtom, DepSide, PathRef, UnitBody, UnitDecl,
 };
@@ -42,7 +42,7 @@ use crate::constraints::{self, ConstraintReport};
 use crate::driver::{
     atomic_body, boot_object, compile_unit_cached, flatten_opts, group_externals,
     instance_symbol_map, root_exports_map, run_indexed, BuildOptions, BuildReport, BuildStats,
-    CompiledUnit, UnitCompile,
+    CompiledUnit, SymbolMap, UnitCompile,
 };
 use crate::elaborate::{elaborate, Elaboration};
 use crate::error::KnitError;
@@ -121,21 +121,38 @@ struct Counts {
 
 /// Memoized boot artifact: the generated boot object plus the resolved
 /// root export map.
-type BootArtifact = (ObjectFile, BTreeMap<String, String>);
+type BootArtifact = (Arc<ObjectFile>, BTreeMap<String, String>);
+
+/// One instance's memoized symbol map.
+#[derive(Debug)]
+struct MapMemo {
+    /// Everything [`instance_symbol_map`] reads: the elaboration and
+    /// schedule fingerprints, and the unit's declaration fingerprint and
+    /// compile key.
+    key: [u64; 4],
+    map: Arc<SymbolMap>,
+    /// Hash of the map's contents, computed once with it; the objcopy and
+    /// flatten fingerprints hash this instead of the map.
+    hash: u64,
+}
 
 /// Memoized per-phase artifacts of the previous build. Every entry is
 /// keyed by a fingerprint of that phase's complete input; `run_build`
-/// reuses an entry only when the fingerprint matches exactly.
+/// reuses an entry only when the fingerprint matches exactly. Artifacts
+/// are shared (`Arc`), never copied: a reuse is a reference-count bump,
+/// and the report's image shares its functions with `link`'s.
 #[derive(Debug, Default)]
 pub(crate) struct Memo {
     elaborate: Option<(u64, Arc<Elaboration>)>,
     constraints: Option<(u64, Option<ConstraintReport>)>,
     schedule: Option<(u64, Arc<Schedule>)>,
     units: BTreeMap<String, UnitMemo>,
-    objcopy: BTreeMap<usize, (u64, Vec<ObjectFile>)>,
-    flatten: BTreeMap<usize, (u64, ObjectFile)>,
+    /// By instance id.
+    maps: Vec<Option<MapMemo>>,
+    objcopy: BTreeMap<usize, (u64, Vec<Arc<ObjectFile>>)>,
+    flatten: BTreeMap<usize, (u64, Arc<ObjectFile>)>,
     boot: Option<(u64, BootArtifact)>,
-    link: Option<(u64, Image)>,
+    link: Option<(u64, Linked)>,
     report: Option<BuildReport>,
     opts_fp: Option<u64>,
     counts: Counts,
@@ -440,9 +457,17 @@ pub(crate) fn run_build(
 
     // Evict unit memos that consulted an edited path — including units not
     // reached by this build's root, which would otherwise go stale
-    // silently and resurface if the root later changes back.
+    // silently and resurface if the root later changes back. Their
+    // artifacts go back to the cache after the compile phase.
+    let mut superseded: Vec<UnitMemo> = Vec::new();
     if !dirty.is_empty() {
-        memo.units.retain(|_, m| m.reads.is_disjoint(dirty));
+        let stale: Vec<String> = memo
+            .units
+            .iter()
+            .filter(|(_, m)| !m.reads.is_disjoint(dirty))
+            .map(|(name, _)| name.clone())
+            .collect();
+        superseded.extend(stale.iter().filter_map(|name| memo.units.remove(name)));
     }
 
     // --- elaborate ---
@@ -545,15 +570,13 @@ pub(crate) fn run_build(
             });
             compiled.insert(name.clone(), Arc::clone(&ub.cu));
             unit_keys.insert(name.clone(), ub.key);
-            memo.units.insert(
-                name.clone(),
-                UnitMemo {
-                    decl_fp: decl_fps[name.as_str()],
-                    key: ub.key,
-                    cu: ub.cu,
-                    reads: ub.reads,
-                },
-            );
+            let unit_memo = UnitMemo {
+                decl_fp: decl_fps[name.as_str()],
+                key: ub.key,
+                cu: ub.cu,
+                reads: ub.reads,
+            };
+            superseded.extend(memo.units.insert(name.clone(), unit_memo));
         } else {
             let m = &memo.units[name.as_str()];
             ledger_reuses += 1;
@@ -567,21 +590,42 @@ pub(crate) fn run_build(
             unit_keys.insert(name.clone(), m.key);
         }
     }
+    // Only now, with this build's artifacts held, can the cache tell which
+    // superseded ones nobody uses any more.
+    for m in superseded {
+        cache.release(m.key, m.cu);
+    }
     phase!("compile");
 
-    // --- per-instance symbol maps (always recomputed — cheap, and every
-    //     later fingerprint hashes them) + objcopy rename/duplicate ---
-    let mut maps: Vec<BTreeMap<String, String>> = Vec::with_capacity(el.instances.len());
+    // --- per-instance symbol maps (memoized per instance on everything
+    //     they read) + objcopy rename/duplicate ---
+    memo.maps.resize_with(el.instances.len(), || None);
+    let mut maps: Vec<Arc<SymbolMap>> = Vec::with_capacity(el.instances.len());
+    let mut map_hashes: Vec<u64> = Vec::with_capacity(el.instances.len());
     for inst in &el.instances {
-        let map = instance_symbol_map(program, &el, inst.id, compiled[inst.unit.as_str()].as_ref())
-            .map_err(|e| match program.unit_site(&inst.unit) {
-                Some((file, span)) => {
-                    let file = file.to_string();
-                    e.at(&file, span)
-                }
-                None => e,
-            })?;
-        maps.push(map);
+        let unit = inst.unit.as_str();
+        let key = [el_fp, s_fp, decl_fps[unit], unit_keys[unit]];
+        let slot = &mut memo.maps[inst.id];
+        if !matches!(slot, Some(m) if m.key == key) {
+            let map = instance_symbol_map(program, &el, inst.id, compiled[unit].as_ref()).map_err(
+                |e| match program.unit_site(unit) {
+                    Some((file, span)) => {
+                        let file = file.to_string();
+                        e.at(&file, span)
+                    }
+                    None => e,
+                },
+            )?;
+            let mut h = StableHasher::new();
+            for (k, v) in &map {
+                h.write_str(k);
+                h.write_str(v);
+            }
+            *slot = Some(MapMemo { key, map: Arc::new(map), hash: h.finish() });
+        }
+        let m = slot.as_ref().expect("filled above");
+        maps.push(Arc::clone(&m.map));
+        map_hashes.push(m.hash);
     }
     // Only instances with source translation units can be merged; units
     // built from pre-compiled objects stay on the objcopy path even when
@@ -596,7 +640,7 @@ pub(crate) fn run_build(
     } else {
         BTreeSet::new()
     };
-    let mut linked_objects: Vec<ObjectFile> = Vec::new();
+    let mut linked_objects: Vec<Arc<ObjectFile>> = Vec::new();
     let mut objcopy_fps: Vec<(usize, u64)> = Vec::new();
     for inst in &el.instances {
         if flattened.contains(&inst.id) {
@@ -607,10 +651,7 @@ pub(crate) fn run_build(
             h.write_str("objcopy");
             h.write_u64(unit_keys[inst.unit.as_str()]);
             h.write_str(&inst.path);
-            for (k, v) in &maps[inst.id] {
-                h.write_str(k);
-                h.write_str(v);
-            }
+            h.write_u64(map_hashes[inst.id]);
             h.finish()
         };
         match memo.objcopy.get(&inst.id) {
@@ -621,7 +662,7 @@ pub(crate) fn run_build(
             _ => {
                 stats.objcopy.runs += 1;
                 let cu = &compiled[inst.unit.as_str()];
-                let mut objs: Vec<ObjectFile> = Vec::with_capacity(cu.objects.len());
+                let mut objs: Vec<Arc<ObjectFile>> = Vec::with_capacity(cu.objects.len());
                 for obj in &cu.objects {
                     let present: BTreeMap<String, String> = maps[inst.id]
                         .iter()
@@ -644,7 +685,7 @@ pub(crate) fn run_build(
                             }
                         })?;
                     renamed.name = format!("{}:{}", inst.path, obj.name);
-                    objs.push(renamed);
+                    objs.push(Arc::new(renamed));
                 }
                 linked_objects.extend(objs.iter().cloned());
                 memo.objcopy.insert(inst.id, (fp, objs));
@@ -664,7 +705,7 @@ pub(crate) fn run_build(
         // the missed groups concurrently and splice everything back in
         // group order so link order never depends on cache warmth.
         let mut pending: Vec<(usize, Vec<flatten::FlattenInput>, BTreeSet<String>)> = Vec::new();
-        let mut order: Vec<(usize, u64, Option<ObjectFile>)> = Vec::new();
+        let mut order: Vec<(usize, u64, Option<Arc<ObjectFile>>)> = Vec::new();
         for (gi, group) in el.flatten_groups.iter().enumerate() {
             let group_set: BTreeSet<usize> =
                 group.iter().copied().filter(|id| flattened.contains(id)).collect();
@@ -678,10 +719,7 @@ pub(crate) fn run_build(
                 for &id in &group_set {
                     h.write_u64(id as u64);
                     h.write_u64(unit_keys[el.instances[id].unit.as_str()]);
-                    for (k, v) in &maps[id] {
-                        h.write_str(k);
-                        h.write_str(v);
-                    }
+                    h.write_u64(map_hashes[id]);
                 }
                 for e in &external {
                     h.write_str("ext");
@@ -709,7 +747,7 @@ pub(crate) fn run_build(
                         inputs.push(flatten::FlattenInput {
                             tag: format!("k{id}"),
                             tus: cu.tus.clone(),
-                            symbol_map: maps[id].clone(),
+                            symbol_map: maps[id].as_ref().clone(),
                         });
                     }
                     order.push((gi, fp, None));
@@ -729,7 +767,8 @@ pub(crate) fn run_build(
                 None => {
                     let mut obj = flat_iter.next().expect("one result per pending group")?;
                     obj.name = format!("flatten-group-{gi}.o");
-                    memo.flatten.insert(gi, (fp, obj.clone()));
+                    let obj = Arc::new(obj);
+                    memo.flatten.insert(gi, (fp, Arc::clone(&obj)));
                     obj
                 }
             };
@@ -771,7 +810,8 @@ pub(crate) fn run_build(
         }
         _ => {
             stats.generate.runs += 1;
-            let v = boot_object(program, &el, &schedule, &maps, opts)?;
+            let (boot, exports) = boot_object(program, &el, &schedule, &maps, opts)?;
+            let v = (Arc::new(boot), exports);
             memo.boot = Some((boot_fp, v.clone()));
             v
         }
@@ -809,34 +849,35 @@ pub(crate) fn run_build(
         }
         h.finish()
     };
-    let image = match &memo.link {
-        Some((fp, img)) if *fp == link_fp => {
-            stats.link.reuses += 1;
-            img.clone()
-        }
-        _ => {
+    // A changed fingerprint relinks against the previous link, which
+    // patches the changed objects in place when they kept their shape
+    // (`Linked::relink`) and links from scratch otherwise.
+    match &mut memo.link {
+        Some((fp, _)) if *fp == link_fp => stats.link.reuses += 1,
+        prev => {
             stats.link.runs += 1;
-            let mut inputs: Vec<LinkInput> = Vec::with_capacity(n_objects);
-            inputs.push(LinkInput::Object(boot));
-            for o in linked_objects {
-                inputs.push(LinkInput::Object(o));
-            }
+            let mut objects: Vec<Arc<ObjectFile>> = Vec::with_capacity(n_objects);
+            objects.push(boot);
+            objects.extend(linked_objects);
             let layout = match &opts.profile {
                 Some(p) => Layout::ProfileGuided(p.as_ref().clone()),
                 None => Layout::InputOrder,
             };
-            let image = cobj::link(
-                &inputs,
-                &LinkOptions {
-                    entry: Some("__start".to_string()),
-                    runtime_symbols: opts.runtime_symbols.clone(),
-                    layout,
-                },
-            )?;
-            memo.link = Some((link_fp, image.clone()));
-            image
+            let lopts = LinkOptions {
+                entry: Some("__start".to_string()),
+                runtime_symbols: opts.runtime_symbols.clone(),
+                layout,
+            };
+            match prev {
+                Some((fp, linked)) => {
+                    linked.relink(objects, &lopts)?;
+                    *fp = link_fp;
+                }
+                None => *prev = Some((link_fp, Linked::link(objects, &lopts)?)),
+            }
         }
-    };
+    }
+    let image = memo.link.as_ref().expect("linked above").1.image.clone();
     phase!("link");
     let _ = timer;
 
@@ -859,7 +900,7 @@ pub(crate) fn run_build(
         stats: build_stats,
         unit_compiles,
         jobs: opts.jobs.max(1),
-        elaboration: el.as_ref().clone(),
+        elaboration: el,
     };
     memo.counts = Counts { units: distinct.len(), objcopy: objcopy_fps.len(), groups: n_groups };
     memo.report = Some(report.clone());

@@ -224,6 +224,10 @@ fn watch_events_stream_gap_free() {
         assert!(event.ok);
         assert_eq!(event.image_hash, *hash, "event {i} carries its build's hash");
     }
+    // No sixth build, so no sixth event: under a read deadline the wait
+    // fails instead of hanging.
+    subscriber.set_read_timeout(Some(std::time::Duration::from_millis(100))).expect("sets");
+    assert!(subscriber.recv_event().is_err(), "no event without a build");
 
     ok(&mut builder, &Request::Shutdown);
     handle.join().expect("clean shutdown");

@@ -5,10 +5,13 @@
 //! *exactly* the phases whose inputs changed, counted by
 //! [`knit::SessionStats`].
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use knit_repro::clack::{ip_router, router_build_inputs};
-use knit_repro::knit::{build, BuildOptions, BuildSession, KnitError, SessionStats};
+use knit_repro::cobj::Image;
+use knit_repro::knit::{build, BuildCache, BuildOptions, BuildSession, KnitError, SessionStats};
 use knit_repro::machine;
 
 // ---------------------------------------------------------------------------
@@ -123,6 +126,14 @@ fn unchanged_rebuild_is_fully_memoized() {
     assert_deltas(&run_deltas(&before, s.stats()), &[]);
     assert_eq!(again.stats.units_compiled, 0);
     assert_eq!(again.image, cold.image, "fast path must return the same image");
+    // ... and shares its storage rather than deep-copying it.
+    let shared = |a: &Image, b: &Image| {
+        a.funcs.iter().zip(&b.funcs).all(|(f, g)| Arc::ptr_eq(f, g))
+            && Arc::ptr_eq(&a.symbols, &b.symbols)
+            && Arc::ptr_eq(&a.addr_to_func, &b.addr_to_func)
+    };
+    assert!(shared(&again.image, &cold.image), "fast path deep-copied the image");
+    assert!(Arc::ptr_eq(&again.elaboration, &cold.elaboration), "fast path copied the elaboration");
 }
 
 /// Editing one C body reruns exactly that unit's compile, its instances'
@@ -271,6 +282,34 @@ fn profile_swap_relinks_and_nothing_else() {
     assert_eq!(back.image, cold.image, "no profile must restore input-order placement");
 }
 
+/// An edit supersedes the edited unit's compiled artifact. Once no
+/// session holds it, it leaves the shared compile cache, so a long-lived
+/// session (or server) keeps one entry per live artifact, not one per
+/// edit. An artifact another session still holds stays cached and is a
+/// hit for it.
+#[test]
+fn superseded_artifacts_leave_the_shared_cache() {
+    let cache = BuildCache::new();
+    let mut a = session().with_cache(cache.clone());
+    let mut b = session().with_cache(cache.clone());
+    a.build().expect("cold build");
+    assert_eq!(b.build().expect("warm build").stats.cache_hits, 2, "b shares a's artifacts");
+    let units = cache.len();
+
+    a.update_source("value.c", &value_c(41));
+    a.build().expect("a's edit");
+    assert_eq!(cache.len(), units + 1, "b still holds Value's first artifact");
+    b.update_source("value.c", &value_c(41));
+    assert_eq!(b.build().expect("b's edit").stats.cache_hits, 1, "b reuses a's edit");
+    assert_eq!(cache.len(), units, "nobody holds Value's first artifact now");
+
+    for n in 0..5 {
+        a.update_source("value.c", &value_c(50 + n));
+        a.build().expect("a's edits");
+    }
+    assert_eq!(cache.len(), units + 1, "one entry per live artifact, not per edit");
+}
+
 // ---------------------------------------------------------------------------
 // diagnostics: session build errors blame the offending `.unit` line
 // ---------------------------------------------------------------------------
@@ -338,26 +377,84 @@ fn clack_router_incremental_edit_is_minimal_and_exact() {
     assert_eq!(incr.image, cold2.image, "incremental image must equal a cold build");
 }
 
+/// The C sources the random-edit proptest evolves. Besides small
+/// constant edits (which keep every object's shape, so the session
+/// patches the previous link in place), it makes edits that change an
+/// object's shape and must take the full relink: a constant beyond `i32`
+/// (its encoded `Const` grows from 5 to 10 bytes), an added `static`
+/// function, an added global, and a new call to an import.
+#[derive(Clone, Copy, Default)]
+struct Sources {
+    ret: i64,
+    boost: i64,
+    statics: usize,
+    globals: usize,
+    putc: bool,
+}
+
+impl Sources {
+    fn value_c(&self) -> String {
+        let mut src = value_c(self.ret);
+        for k in 0..self.statics {
+            src.push_str(&format!("static int helper{k}() {{ return {k}; }}\n"));
+        }
+        for k in 0..self.globals {
+            src.push_str(&format!("int extra{k} = {k};\n"));
+        }
+        src
+    }
+
+    fn app_c(&self) -> String {
+        if self.putc {
+            format!(
+                "int value();\nint __con_putc(int c);\nint main() {{\n    __con_putc(33);\n    return value() + {};\n}}\n",
+                self.boost
+            )
+        } else {
+            app_c(self.boost)
+        }
+    }
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Apply a random sequence of edits (C bodies, comment-only `.unit`
-    /// tweaks, constraint changes) to one session; after every single
-    /// edit the session image must be byte-identical to a cold build of
-    /// the session's current program/tree/options.
+    /// tweaks, constraint changes, shape-changing C edits, and body edits
+    /// under a fixed PGO profile) to one session; after every single edit
+    /// the session image must be byte-identical to a cold build of the
+    /// session's current program/tree/options.
     #[test]
-    fn random_edit_sequences_match_cold_builds(edits in prop::collection::vec(0usize..5, 1..6)) {
+    fn random_edit_sequences_match_cold_builds(edits in prop::collection::vec(0usize..10, 1..7)) {
         let mut s = session();
-        s.build().expect("cold build");
+        let first = s.build().expect("cold build");
         let (mut strict, mut comment) = (false, false);
+        let mut src = Sources { ret: 40, boost: 2, ..Sources::default() };
         for (i, e) in edits.into_iter().enumerate() {
+            let n = i as i64 + 1;
             match e {
-                0 => s.update_source("value.c", &value_c(40 + i as i64)),
-                1 => s.update_source("app.c", &app_c(2 + i as i64)),
+                0 => src.ret = 40 + n,
+                1 => src.boost = 2 + n,
                 2 => { comment = !comment; s.update_unit("inc.unit", &unit_src(strict, comment)).expect("reparse"); }
                 3 => { strict = !strict; s.update_unit("inc.unit", &unit_src(strict, comment)).expect("reparse"); }
-                _ => s.update_source("value.c", &value_c(40)),
+                4 => src.ret = 40,
+                5 => src.ret = (1 << 40) + n,
+                6 => src.statics += 1,
+                7 => src.globals += 1,
+                8 => src.putc = !src.putc,
+                _ => {
+                    // Fix a profile of the first image, then edit a body under it.
+                    if s.options().profile.is_none() {
+                        let mut m = machine::Machine::new(first.image.clone()).expect("machine");
+                        m.set_profiling(true);
+                        m.run_entry().expect("runs");
+                        s.set_profile(Some(Arc::new(m.profile().layout_profile())));
+                    }
+                    src.boost += n;
+                }
             }
+            s.update_source("value.c", &src.value_c());
+            s.update_source("app.c", &src.app_c());
             let incr = s.build().expect("incremental build");
             let cold = build(s.program(), s.tree(), s.options()).expect("cold build");
             prop_assert_eq!(&incr.image, &cold.image, "divergence after edit #{}", i);
