@@ -33,6 +33,12 @@ const GOLDEN_KERNELS: &[(&str, u64, usize)] = &[
     ("ChainKernelFlat", 0x89d852eb451842cc, 0),
 ];
 
+/// Image hash of the cold 10k build in
+/// `one_edit_in_a_10k_unit_session_is_incremental` (seed `0xC0FFEE`). The
+/// corpus instantiates the `Pack` units 625 times each, so this pins the
+/// per-instance renaming of multiply-instantiated units end to end.
+const GOLDEN_10K: u64 = 0x66d4439bb58c3ca7;
+
 #[test]
 fn oskit_images_byte_identical_to_pre_interner_engine() {
     assert_eq!(GOLDEN_KERNELS.len(), oskit::GOOD_KERNELS.len(), "golden table covers every kernel");
@@ -221,6 +227,7 @@ fn one_edit_in_a_10k_unit_session_is_incremental() {
     // Cold build: every phase runs once.
     let report = session.build().expect("cold build");
     assert_eq!(report.elaboration.instances.len(), corpus.expected_instances);
+    assert_eq!(image_hash(&report.image), GOLDEN_10K, "10k cold image drifted");
     // The 625 Pack replicas elaborate once: the first builds the template,
     // the rest are stamped — the "clean subgraph" the session never
     // revisits, pinned exactly.

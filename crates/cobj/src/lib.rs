@@ -21,11 +21,13 @@
 //! * [`ld`] — the baseline linker (Section 2.1 of the paper): a faithful
 //!   reproduction of the "bag of objects" semantics, including its inability
 //!   to express interposition (Figure 1c).
+//! * [`fnv`] — the FNV-1a hasher behind every hot string-keyed table.
 //! * [`image`] — fully linked, relocated program images with a byte-accurate
 //!   text layout, executed by the `machine` crate.
 
 pub mod archive;
 pub mod error;
+pub mod fnv;
 pub mod image;
 pub mod ir;
 pub mod layout;

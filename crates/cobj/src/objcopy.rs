@@ -5,10 +5,11 @@
 //! renaming symbols and duplicating object code for multiply-instantiated
 //! units". This module provides those two operations:
 //!
-//! * [`rename_symbols`] — rewrite global symbol names (both definitions and
-//!   undefined references) according to a map. This is how Knit wires an
-//!   import of one unit instance to the (mangled) export of another without
-//!   any global-namespace collisions.
+//! * [`rename`] — rewrite global symbol names (both definitions and
+//!   undefined references), addressed by symbol-table index. This is how
+//!   Knit wires an import of one unit instance to the (mangled) export of
+//!   another without any global-namespace collisions. [`rename_symbols`]
+//!   is the same operation addressed by name.
 //! * [`duplicate`] — clone an object while renaming *every* global symbol,
 //!   producing an independent copy for a second instantiation of the same
 //!   unit (e.g. the paper's two-`printf` output-redirection example).
@@ -16,62 +17,95 @@
 use std::collections::BTreeMap;
 
 use crate::error::ObjectError;
-use crate::object::{ObjectFile, SymDef};
+use crate::fnv::FnvMap;
+use crate::object::{ObjectFile, SymDef, Symbol};
 
-/// Rename global symbols of `obj` according to `map` (old name → new name).
+fn is_local(s: &Symbol) -> bool {
+    matches!(s.def, SymDef::Defined { local: true, .. })
+}
+
+/// Rename link-visible symbols of `obj` by symbol-table index: entry `id`
+/// of each `(id, new)` pair is renamed to `new`. Entries not listed keep
+/// their names.
 ///
-/// Names absent from the map are kept. Local (static) symbols are never
-/// touched: like real `objcopy --redefine-sym`, renaming operates on the
-/// link-visible namespace only. Returns an error if a requested name does
-/// not exist in the object, or if the rename would make two distinct
-/// link-visible symbols collide.
-pub fn rename_symbols(
-    obj: &ObjectFile,
-    map: &BTreeMap<String, String>,
-) -> Result<ObjectFile, ObjectError> {
-    // Every key must name an existing global (defined or undefined) symbol.
-    for old in map.keys() {
-        let found = obj
-            .symbols
-            .iter()
-            .any(|s| s.name == *old && !matches!(s.def, SymDef::Defined { local: true, .. }));
-        if !found {
-            return Err(ObjectError::NoSuchSymbol { object: obj.name.clone(), name: old.clone() });
+/// Local (static) symbols are never touched: like real `objcopy
+/// --redefine-sym`, renaming operates on the link-visible namespace only,
+/// so naming a local entry is a [`ObjectError::NoSuchSymbol`]. Returns an
+/// error if the rename would make two distinct link-visible symbols
+/// collide.
+pub fn rename(obj: &ObjectFile, renames: &[(SymId, &str)]) -> Result<ObjectFile, ObjectError> {
+    let mut names: Vec<Option<&str>> = vec![None; obj.symbols.len()];
+    for &(id, new) in renames {
+        let Some(sym) = obj.symbols.get(id.0 as usize) else {
+            return Err(ObjectError::BadSymbolIndex {
+                object: obj.name.clone(),
+                index: id.0,
+                context: "rename".to_string(),
+            });
+        };
+        if is_local(sym) {
+            return Err(ObjectError::NoSuchSymbol {
+                object: obj.name.clone(),
+                name: sym.name.clone(),
+            });
         }
+        names[id.0 as usize] = Some(new);
     }
-
-    let mut out = obj.clone();
-    for sym in &mut out.symbols {
-        if matches!(sym.def, SymDef::Defined { local: true, .. }) {
-            continue;
-        }
-        if let Some(new) = map.get(&sym.name) {
-            sym.name = new.clone();
-        }
-    }
+    let symbols: Vec<Symbol> = obj
+        .symbols
+        .iter()
+        .zip(&names)
+        .map(|(s, new)| Symbol {
+            name: new.map_or_else(|| s.name.clone(), str::to_string),
+            def: s.def,
+        })
+        .collect();
 
     // Detect collisions among link-visible names: a defined symbol may not
     // share its new name with any other defined symbol; a defined and an
     // undefined entry with the same name would silently self-satisfy, so we
     // reject that too (Knit wiring never needs it — self-links are resolved
     // before objcopy).
-    let mut seen: BTreeMap<&str, &SymDef> = BTreeMap::new();
-    for s in &out.symbols {
-        if matches!(s.def, SymDef::Defined { local: true, .. }) {
-            continue;
-        }
-        if let Some(prev) = seen.get(s.name.as_str()) {
-            let both_undef = **prev == SymDef::Undefined && s.def == SymDef::Undefined;
-            if !both_undef {
+    let mut seen: FnvMap<&str, SymDef> =
+        FnvMap::with_capacity_and_hasher(symbols.len(), Default::default());
+    for s in symbols.iter().filter(|s| !is_local(s)) {
+        if let Some(prev) = seen.insert(s.name.as_str(), s.def) {
+            if prev != SymDef::Undefined || s.def != SymDef::Undefined {
                 return Err(ObjectError::RenameCollision {
-                    object: out.name.clone(),
+                    object: obj.name.clone(),
                     name: s.name.clone(),
                 });
             }
         }
-        seen.insert(s.name.as_str(), &s.def);
     }
-    Ok(out)
+    Ok(ObjectFile {
+        name: obj.name.clone(),
+        symbols,
+        funcs: obj.funcs.clone(),
+        data: obj.data.clone(),
+    })
+}
+
+/// [`rename`] addressed by name: every link-visible entry named by a key
+/// of `map` (old name → new name) is renamed. Every key must name an
+/// existing link-visible symbol.
+pub fn rename_symbols(
+    obj: &ObjectFile,
+    map: &BTreeMap<String, String>,
+) -> Result<ObjectFile, ObjectError> {
+    for old in map.keys() {
+        if !obj.symbols.iter().any(|s| s.name == *old && !is_local(s)) {
+            return Err(ObjectError::NoSuchSymbol { object: obj.name.clone(), name: old.clone() });
+        }
+    }
+    let renames: Vec<(SymId, &str)> = obj
+        .symbols
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| !is_local(s))
+        .filter_map(|(i, s)| map.get(&s.name).map(|new| (SymId(i as u32), new.as_str())))
+        .collect();
+    rename(obj, &renames)
 }
 
 /// Clone `obj` with `suffix` appended to every link-visible symbol name,
@@ -84,10 +118,7 @@ pub fn rename_symbols(
 pub fn duplicate(obj: &ObjectFile, suffix: &str) -> ObjectFile {
     let mut out = obj.clone();
     out.name = format!("{}{}", obj.name, suffix);
-    for sym in &mut out.symbols {
-        if matches!(sym.def, SymDef::Defined { local: true, .. }) {
-            continue;
-        }
+    for sym in out.symbols.iter_mut().filter(|s| !is_local(s)) {
         sym.name = format!("{}{}", sym.name, suffix);
     }
     out
@@ -227,6 +258,19 @@ mod tests {
         assert!(!r.exported_names().contains("serve_logged"));
         // instruction still references the same SymId; only the table changed
         assert_eq!(r.funcs[0].body, o.funcs[0].body);
+    }
+
+    #[test]
+    fn rename_by_index_matches_rename_by_name() {
+        let o = obj();
+        let by_index = rename(&o, &[(SymId(0), "serve_web__u1"), (SymId(1), "serve_web__u0")]);
+        let mut map = BTreeMap::new();
+        map.insert("serve_logged".to_string(), "serve_web__u1".to_string());
+        map.insert("serve_unlogged".to_string(), "serve_web__u0".to_string());
+        assert_eq!(by_index.unwrap(), rename_symbols(&o, &map).unwrap());
+        // a local entry is not link-visible; an index past the table is bad
+        assert!(matches!(rename(&o, &[(SymId(2), "x")]), Err(ObjectError::NoSuchSymbol { .. })));
+        assert!(matches!(rename(&o, &[(SymId(9), "x")]), Err(ObjectError::BadSymbolIndex { .. })));
     }
 
     #[test]

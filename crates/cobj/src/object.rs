@@ -6,9 +6,10 @@
 //! whose *tabs* are defined global symbols and whose *notches* are
 //! undefined references (Figure 1 of the paper).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use crate::error::ObjectError;
+use crate::fnv::FnvMap;
 use crate::ir::{Instr, SymId};
 
 /// What a defined symbol names.
@@ -231,23 +232,23 @@ impl ObjectFile {
             Ok(())
         };
 
-        let mut seen_names: BTreeMap<&str, &Symbol> = BTreeMap::new();
+        // name -> whether the latest entry of that name defines it
+        let mut seen_names: FnvMap<&str, bool> =
+            FnvMap::with_capacity_and_hasher(self.symbols.len(), Default::default());
         for s in &self.symbols {
-            if let Some(prev) = seen_names.get(s.name.as_str()) {
-                // Two entries with the same name are only legal if at most
-                // one of them defines it (an object may both reference and
-                // define a name through separate entries only by mistake).
-                if prev.is_defined() && s.is_defined() {
-                    return Err(ObjectError::DuplicateSymbol {
-                        object: self.name.clone(),
-                        name: s.name.clone(),
-                    });
-                }
+            // Two entries with the same name are only legal if at most
+            // one of them defines it (an object may both reference and
+            // define a name through separate entries only by mistake).
+            if seen_names.insert(s.name.as_str(), s.is_defined()) == Some(true) && s.is_defined() {
+                return Err(ObjectError::DuplicateSymbol {
+                    object: self.name.clone(),
+                    name: s.name.clone(),
+                });
             }
-            seen_names.insert(s.name.as_str(), s);
         }
 
-        let mut defined_bodies: BTreeSet<u32> = BTreeSet::new();
+        // by symbol id: whether a function or data body defines it
+        let mut defined_bodies: Vec<bool> = vec![false; self.symbols.len()];
         for f in &self.funcs {
             check(f.sym, "function definition")?;
             let sym = self.symbol(f.sym);
@@ -261,7 +262,7 @@ impl ObjectFile {
                     })
                 }
             }
-            if !defined_bodies.insert(f.sym.0) {
+            if std::mem::replace(&mut defined_bodies[f.sym.0 as usize], true) {
                 return Err(ObjectError::DuplicateSymbol {
                     object: self.name.clone(),
                     name: sym.name.clone(),
@@ -299,7 +300,7 @@ impl ObjectFile {
                     })
                 }
             }
-            if !defined_bodies.insert(d.sym.0) {
+            if std::mem::replace(&mut defined_bodies[d.sym.0 as usize], true) {
                 return Err(ObjectError::DuplicateSymbol {
                     object: self.name.clone(),
                     name: sym.name.clone(),
@@ -325,7 +326,7 @@ impl ObjectFile {
         }
         // Every defined symbol must have a body.
         for (i, s) in self.symbols.iter().enumerate() {
-            if s.is_defined() && !defined_bodies.contains(&(i as u32)) {
+            if s.is_defined() && !defined_bodies[i] {
                 return Err(ObjectError::MissingBody {
                     object: self.name.clone(),
                     name: s.name.clone(),

@@ -1,6 +1,6 @@
 //! Property tests over the object-file layer.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -430,6 +430,143 @@ proptest! {
                 }
                 (full, path) => {
                     return Err(TestCaseError::Fail(format!("full link {full:?}, relink {path:?}")));
+                }
+            }
+        }
+    }
+}
+
+/// A name from a pool of `pool` names whose lexicographic order differs
+/// from pool order (and from any hash order).
+fn pool_name(k: usize) -> String {
+    const STEMS: [&str; 5] = ["zeta", "a", "mid_", "Q", "a_"];
+    format!("{}{}", STEMS[k % STEMS.len()], (k * 7919) % 1009)
+}
+
+/// `n` objects over a shared name pool. Each defines a few distinct
+/// global functions and references a few names it does not define; with
+/// `dups` a name may be defined by several objects.
+fn gen_namespace(g: &mut Gen, n: usize, pool: usize, dups: bool) -> Vec<ObjectFile> {
+    let mut taken = vec![false; pool];
+    let mut objs = Vec::new();
+    for t in 0..n {
+        let mut o = ObjectFile::new(format!("ns{t}.o"));
+        for _ in 0..1 + g.below(4) {
+            let k = g.below(pool);
+            let name = pool_name(k);
+            if o.find_symbol(&name).is_some() || (taken[k] && !dups) {
+                continue;
+            }
+            taken[k] = true;
+            let s = o.add_symbol(Symbol::func(name));
+            o.funcs.push(FuncDef {
+                sym: s,
+                params: 0,
+                nregs: 1,
+                frame_size: 0,
+                body: vec![Instr::Const { dst: 0, value: t as i64 }, Instr::Ret { value: Some(0) }],
+            });
+        }
+        for _ in 0..g.below(5) {
+            let name = if g.below(8) == 0 { RT.to_string() } else { pool_name(g.below(pool)) };
+            if o.find_symbol(&name).is_none() {
+                o.add_symbol(Symbol::undef(name));
+            }
+        }
+        objs.push(o);
+    }
+    objs
+}
+
+/// What `ld` must report for `objs`, computed naively: the first
+/// duplicate definition in include order, else the lexicographically
+/// smallest missing name with its referencing objects in include order.
+fn naive_link_error(objs: &[ObjectFile]) -> Option<cobj::LinkError> {
+    let mut first: BTreeMap<&str, &str> = BTreeMap::new();
+    for o in objs {
+        for s in o.symbols.iter().filter(|s| s.is_global_def()) {
+            if let Some(f) = first.get(s.name.as_str()) {
+                return Some(cobj::LinkError::MultipleDefinition {
+                    name: s.name.clone(),
+                    first: f.to_string(),
+                    second: o.name.clone(),
+                });
+            }
+            first.insert(&s.name, &o.name);
+        }
+    }
+    let missing = objs
+        .iter()
+        .flat_map(|o| o.symbols.iter())
+        .filter(|s| {
+            s.def == SymDef::Undefined && s.name != RT && !first.contains_key(s.name.as_str())
+        })
+        .map(|s| s.name.as_str())
+        .min()?;
+    let referenced_from = objs
+        .iter()
+        .filter(|o| o.undefined_names().contains(missing))
+        .map(|o| o.name.clone())
+        .collect();
+    Some(cobj::LinkError::UndefinedReference { name: missing.to_string(), referenced_from })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Link errors and the image symbol table never depend on hash
+    /// iteration order: with many missing and many duplicate names, `ld`
+    /// reports exactly what a naive in-order scan finds, and
+    /// `Image.symbols` lists every global definition in name order.
+    #[test]
+    fn link_errors_and_symbols_are_deterministic(seed in any::<u64>()) {
+        let mut g = Gen(seed | 1);
+        let n = 4 + g.below(40);
+        let pool = 8 + g.below(120);
+        // Three shapes: duplicates allowed, missing names, or complete
+        // (a last object defines every name still missing).
+        let shape = g.below(3);
+        let mut objs = gen_namespace(&mut g, n, pool, shape == 0);
+        if shape == 2 {
+            let defined: BTreeSet<String> = objs.iter().flat_map(|o| o.exported_names()).map(str::to_string).collect();
+            let mut provider = ObjectFile::new("provider.o");
+            for k in 0..pool {
+                let name = pool_name(k);
+                if !defined.contains(&name) {
+                    let s = provider.add_symbol(Symbol::func(name));
+                    let body = vec![Instr::Ret { value: None }];
+                    provider.funcs.push(FuncDef { sym: s, params: 0, nregs: 0, frame_size: 0, body });
+                }
+            }
+            objs.push(provider);
+        }
+        let opts = LinkOptions { runtime_symbols: [RT.to_string()].into(), ..Default::default() };
+        let inputs: Vec<LinkInput> = objs.iter().cloned().map(LinkInput::Object).collect();
+        let got = link(&inputs, &opts);
+        let arcs: Vec<Arc<ObjectFile>> = objs.iter().cloned().map(Arc::new).collect();
+        let kept = Linked::link(arcs, &opts);
+        match naive_link_error(&objs) {
+            Some(want) => {
+                prop_assert!(shape != 2, "a complete set must link");
+                prop_assert_eq!(got.unwrap_err(), want.clone());
+                prop_assert_eq!(kept.unwrap_err(), want);
+            }
+            None => {
+                let image = got.expect("no duplicate and nothing missing: links");
+                prop_assert!(image == kept.expect("links").image);
+                let mut names: Vec<&str> = objs
+                    .iter()
+                    .flat_map(|o| o.symbols.iter().filter(|s| s.is_global_def()))
+                    .map(|s| s.name.as_str())
+                    .collect();
+                names.sort_unstable();
+                let listed: Vec<&str> = image.symbols.keys().map(String::as_str).collect();
+                prop_assert_eq!(listed, names);
+                for (name, loc) in image.symbols.iter() {
+                    match loc {
+                        cobj::SymbolLoc::Func(fi) => prop_assert_eq!(&image.funcs[*fi as usize].name, name),
+                        other => return Err(TestCaseError::Fail(format!("{name}: {other:?}"))),
+                    }
                 }
             }
         }

@@ -453,7 +453,7 @@ fn run_lints(
         for p in &unit.exports {
             for m in program.members_of(&p.bundle_type).unwrap_or_default() {
                 let cid = c_id(body, &p.name, m);
-                if !summary.defined.contains(&cid) {
+                if !summary.defined.contains(cid) {
                     emit(
                         &mut diags,
                         config,
@@ -476,7 +476,7 @@ fn run_lints(
         for p in &unit.imports {
             for m in program.members_of(&p.bundle_type).unwrap_or_default() {
                 let cid = c_id(body, &p.name, m);
-                if !summary.uses.referenced.contains(&cid) {
+                if !summary.uses.referenced.contains(cid) {
                     emit(
                         &mut diags,
                         config,
@@ -547,7 +547,7 @@ fn run_lints(
                 };
                 for m in program.members_of(&p.bundle_type).unwrap_or_default() {
                     let cid = c_id(body, &p.name, m);
-                    if !reach.contains(&cid) {
+                    if !reach.contains(cid) {
                         continue;
                     }
                     let prov_inst = &el.instances[*prov];

@@ -604,7 +604,7 @@ impl<'a> Graph<'a> {
                 let prov_body = atomic_body(prov_unit);
                 for m in program.members_of(&p.bundle_type).unwrap_or_default() {
                     let cid = c_id(body, &p.name, m);
-                    map.insert(cid, (*prov, c_id(prov_body, port, m)));
+                    map.insert(cid.to_string(), (*prov, c_id(prov_body, port, m).to_string()));
                 }
             }
             import_map.push(map);
@@ -638,8 +638,8 @@ impl<'a> Graph<'a> {
             for p in unit.exports.iter().filter(|p| &p.name == port) {
                 for m in self.program.members_of(&p.bundle_type).unwrap_or_default() {
                     let f = c_id(body, port, m);
-                    if self.race_of(*inst).is_some_and(|r| r.funcs.contains_key(&f)) {
-                        nodes.push((*inst, f));
+                    if self.race_of(*inst).is_some_and(|r| r.funcs.contains_key(f)) {
+                        nodes.push((*inst, f.to_string()));
                     }
                 }
             }

@@ -33,8 +33,8 @@ use std::time::Duration;
 
 use cmini::CompileOptions;
 use cobj::ir::Instr;
-use cobj::object::{FuncDef, ObjectFile, Symbol};
-use cobj::{Image, LayoutProfile};
+use cobj::object::{FuncDef, ObjectFile, SymDef, Symbol};
+use cobj::{Image, LayoutProfile, SymId};
 use knit_lang::ast::{AtomicBody, UnitBody, UnitDecl};
 
 use crate::cache::{BuildCache, StableHasher};
@@ -246,12 +246,48 @@ pub struct BuildReport {
 
 /// Mangled link-level name for an instance's export member.
 pub fn mangle_export(inst: usize, port: &str, member: &str) -> String {
-    format!("{member}_{port}_i{inst}")
+    let mut s = String::new();
+    push_export_prefix(&mut s, port, member);
+    push_index(&mut s, inst);
+    s
 }
 
 /// Mangled link-level name for an instance-private global.
 pub fn mangle_private(inst: usize, name: &str) -> String {
-    format!("{name}_p{inst}")
+    let mut s = String::new();
+    push_private_prefix(&mut s, name);
+    push_index(&mut s, inst);
+    s
+}
+
+/// [`mangle_export`] up to its instance id.
+fn push_export_prefix(s: &mut String, port: &str, member: &str) {
+    s.push_str(member);
+    s.push('_');
+    s.push_str(port);
+    s.push_str("_i");
+}
+
+/// [`mangle_private`] up to its instance id.
+fn push_private_prefix(s: &mut String, name: &str) {
+    s.push_str(name);
+    s.push_str("_p");
+}
+
+/// Append `inst` in decimal.
+fn push_index(s: &mut String, inst: usize) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut n = inst;
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    s.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 /// Build `opts.root` from `program` and `tree` into a runnable image,
@@ -533,43 +569,103 @@ pub(crate) fn atomic_body(unit: &UnitDecl) -> &AtomicBody {
 }
 
 /// The C identifier of a port member, after the unit's `rename` clauses.
-pub(crate) fn c_id(body: &AtomicBody, port: &str, member: &str) -> String {
+pub(crate) fn c_id<'a>(body: &'a AtomicBody, port: &str, member: &'a str) -> &'a str {
     body.renames
         .iter()
         .find(|r| r.port == port && r.member == member)
-        .map(|r| r.to.clone())
-        .unwrap_or_else(|| member.to_string())
+        .map_or(member, |r| r.to.as_str())
 }
 
 /// One instance's renaming: C identifier → link-level symbol.
 pub(crate) type SymbolMap = BTreeMap<String, String>;
 
-/// Build the link-level symbol map for one instance: exports to their
-/// mangles, imports to their providers' mangles (or raw member names when
-/// wired to the external world), everything else defined by the unit to a
-/// private per-instance mangle. Errors reproduce Knit's checks: missing
-/// export definitions, import/export C-identifier conflicts (→ rename),
-/// and references to symbols that are neither imported nor defined.
-pub(crate) fn instance_symbol_map(
-    program: &Program,
-    el: &Elaboration,
-    inst_id: usize,
-    cu: &CompiledUnit,
-) -> Result<SymbolMap, KnitError> {
-    let inst = &el.instances[inst_id];
-    let unit = &program.units[inst.unit.as_str()];
-    let body = atomic_body(unit);
-    let mut map: BTreeMap<String, String> = BTreeMap::new();
+/// A string stored in a [`RenamePlan`]'s text: `start..end`.
+#[derive(Debug, Clone, Copy)]
+struct TextRange(u32, u32);
 
-    // exports
-    let mut export_cids: BTreeMap<String, (String, String)> = BTreeMap::new();
+impl TextRange {
+    /// Append `s` to `text`, returning where it landed.
+    fn push(text: &mut String, s: &str) -> TextRange {
+        let start = text.len() as u32;
+        text.push_str(s);
+        TextRange(start, text.len() as u32)
+    }
+
+    fn get(self, text: &str) -> &str {
+        &text[self.0 as usize..self.1 as usize]
+    }
+}
+
+/// What one link-visible C symbol of a unit becomes in each instance.
+#[derive(Debug, Clone, Copy)]
+enum Role {
+    /// An export member or an instance-private global: `prefix` followed
+    /// by the instance id ([`mangle_export`], [`mangle_private`]).
+    Own { prefix: TextRange },
+    /// Member `member` of import port `port`: the wired provider's
+    /// [`mangle_export`], or the bare member name when the port is wired
+    /// to the external world.
+    Import { port: TextRange, member: TextRange },
+}
+
+/// A unit's symbol surgery, worked out once per distinct unit and shared
+/// by all its instances: every link-visible C symbol the unit renames,
+/// with its role, and for each compiled object the symbol-table entries
+/// to rename. An instance only formats the target names
+/// ([`InstanceSyms::stamp`]).
+#[derive(Debug)]
+pub(crate) struct RenamePlan {
+    /// Every string the plan names, back to back.
+    text: String,
+    /// `(C identifier, role)`, sorted by C identifier.
+    syms: Vec<(TextRange, Role)>,
+    /// Per compiled object: `(symbol-table entry, index into syms)`.
+    objects: Vec<Vec<(SymId, u32)>>,
+    /// Content hash of the C identifiers and their roles.
+    hash: u64,
+}
+
+impl RenamePlan {
+    /// Index of C identifier `cid` in `syms`.
+    fn find(&self, cid: &str) -> Option<usize> {
+        self.syms.binary_search_by(|(c, _)| c.get(&self.text).cmp(cid)).ok()
+    }
+}
+
+/// Plan the symbol surgery of `unit_name`, compiled as `cu`. Every check
+/// Knit makes on a unit's symbols depends on the unit alone, so it runs
+/// here, once: missing export definitions, import/export C-identifier
+/// conflicts (→ rename), undefined initializers/finalizers, and references
+/// to symbols that are neither imported nor defined — the last reported
+/// against `first_instance`, the unit's first instance in instance order.
+pub(crate) fn rename_plan(
+    program: &Program,
+    unit_name: &str,
+    cu: &CompiledUnit,
+    first_instance: &str,
+) -> Result<RenamePlan, KnitError> {
+    /// A role whose strings still live in the program or the compiled unit.
+    enum Src<'a> {
+        Export { port: &'a str, member: &'a str },
+        Import { port: &'a str, member: &'a str },
+        Private,
+    }
+    let unit = &program.units[unit_name];
+    let body = atomic_body(unit);
+    let mut roles: BTreeMap<&str, Src<'_>> = BTreeMap::new();
+
+    // exports (while `roles` holds only exports, a repeat is a clash
+    // between two export members)
     for p in &unit.exports {
         for member in program.members_of(&p.bundle_type).expect("validated") {
             let cid = c_id(body, &p.name, member);
-            if export_cids.insert(cid.clone(), (p.name.clone(), member.clone())).is_some() {
-                return Err(KnitError::NeedsRename { unit: unit.name.clone(), c_name: cid });
+            if roles.contains_key(cid) {
+                return Err(KnitError::NeedsRename {
+                    unit: unit.name.clone(),
+                    c_name: cid.to_string(),
+                });
             }
-            if !cu.defined.contains(&cid) {
+            if !cu.defined.contains(cid) {
                 return Err(KnitError::BadDeclaration {
                     unit: unit.name.clone(),
                     what: format!(
@@ -578,27 +674,25 @@ pub(crate) fn instance_symbol_map(
                     ),
                 });
             }
-            map.insert(cid, mangle_export(inst_id, &p.name, member));
+            roles.insert(cid, Src::Export { port: &p.name, member });
         }
     }
     // imports
     for p in &unit.imports {
-        let wire = inst.imports.get(p.name.as_str()).expect("elaboration wired every import");
         for member in program.members_of(&p.bundle_type).expect("validated") {
             let cid = c_id(body, &p.name, member);
-            if export_cids.contains_key(&cid) || map.contains_key(&cid) {
-                return Err(KnitError::NeedsRename { unit: unit.name.clone(), c_name: cid });
+            if roles.contains_key(cid) {
+                return Err(KnitError::NeedsRename {
+                    unit: unit.name.clone(),
+                    c_name: cid.to_string(),
+                });
             }
-            let target = match wire {
-                Wire::Export { instance, port } => mangle_export(*instance, port, member),
-                Wire::External { .. } => member.clone(),
-            };
-            map.insert(cid, target);
+            roles.insert(cid, Src::Import { port: &p.name, member });
         }
     }
     // initializers/finalizers must be defined
     for d in body.initializers.iter().chain(body.finalizers.iter()) {
-        if !cu.defined.contains(&d.func) && !map.contains_key(&d.func) {
+        if !cu.defined.contains(&d.func) && !roles.contains_key(d.func.as_str()) {
             return Err(KnitError::BadDeclaration {
                 unit: unit.name.clone(),
                 what: format!("initializer/finalizer `{}` is not defined by the unit", d.func),
@@ -607,20 +701,146 @@ pub(crate) fn instance_symbol_map(
     }
     // remaining defined globals become instance-private
     for name in &cu.defined {
-        if !map.contains_key(name) && !name.starts_with("__") {
-            map.insert(name.clone(), mangle_private(inst_id, name));
+        if !roles.contains_key(name.as_str()) && !name.starts_with("__") {
+            roles.insert(name, Src::Private);
         }
     }
     // remaining undefined references must be runtime symbols
     for name in &cu.undefined {
-        if !map.contains_key(name) && !name.starts_with("__") {
+        if !roles.contains_key(name.as_str()) && !name.starts_with("__") {
             return Err(KnitError::UnboundSymbol {
-                instance: inst.path.clone(),
+                instance: first_instance.to_string(),
                 symbol: name.clone(),
             });
         }
     }
-    Ok(map)
+
+    let mut text = String::with_capacity(256);
+    let mut h = StableHasher::new();
+    let syms: Vec<(TextRange, Role)> = roles
+        .into_iter()
+        .map(|(cid, src)| {
+            let c = TextRange::push(&mut text, cid);
+            let start = text.len() as u32;
+            let role = match src {
+                Src::Export { port, member } => {
+                    push_export_prefix(&mut text, port, member);
+                    Role::Own { prefix: TextRange(start, text.len() as u32) }
+                }
+                Src::Private => {
+                    push_private_prefix(&mut text, cid);
+                    Role::Own { prefix: TextRange(start, text.len() as u32) }
+                }
+                Src::Import { port, member } => Role::Import {
+                    port: TextRange::push(&mut text, port),
+                    member: TextRange::push(&mut text, member),
+                },
+            };
+            h.write_str(c.get(&text));
+            match role {
+                Role::Own { prefix } => h.write_str(prefix.get(&text)),
+                Role::Import { port, member } => {
+                    h.write_str(port.get(&text));
+                    h.write_str(member.get(&text));
+                }
+            }
+            (c, role)
+        })
+        .collect();
+    let mut plan = RenamePlan { text, syms, objects: Vec::new(), hash: h.finish() };
+    plan.objects = cu
+        .objects
+        .iter()
+        .map(|obj| {
+            obj.symbols
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| !matches!(s.def, SymDef::Defined { local: true, .. }))
+                .filter_map(|(si, s)| Some((SymId(si as u32), plan.find(&s.name)? as u32)))
+                .collect()
+        })
+        .collect();
+    Ok(plan)
+}
+
+/// One instance's symbol surgery: its unit's [`RenamePlan`] and the
+/// link-level name of each planned symbol.
+#[derive(Debug)]
+pub(crate) struct InstanceSyms {
+    plan: Arc<RenamePlan>,
+    /// Every target name, back to back, in plan order.
+    text: String,
+    /// Where each target name ends in `text`.
+    ends: Vec<u32>,
+}
+
+impl InstanceSyms {
+    /// Format the target names of instance `inst_id` from its unit's plan.
+    pub(crate) fn stamp(plan: &Arc<RenamePlan>, el: &Elaboration, inst_id: usize) -> InstanceSyms {
+        let inst = &el.instances[inst_id];
+        let mut text = String::with_capacity(plan.text.len() + 8 * plan.syms.len());
+        let mut ends = Vec::with_capacity(plan.syms.len());
+        for (_, role) in &plan.syms {
+            match *role {
+                Role::Own { prefix } => {
+                    text.push_str(prefix.get(&plan.text));
+                    push_index(&mut text, inst_id);
+                }
+                Role::Import { port, member } => {
+                    let member = member.get(&plan.text);
+                    match inst
+                        .imports
+                        .get(port.get(&plan.text))
+                        .expect("elaboration wired every import")
+                    {
+                        Wire::Export { instance, port } => {
+                            push_export_prefix(&mut text, port, member);
+                            push_index(&mut text, *instance);
+                        }
+                        Wire::External { .. } => text.push_str(member),
+                    }
+                }
+            }
+            ends.push(text.len() as u32);
+        }
+        InstanceSyms { plan: Arc::clone(plan), text, ends }
+    }
+
+    /// Target name `i`, in plan order.
+    fn target(&self, i: usize) -> &str {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.text[start..self.ends[i] as usize]
+    }
+
+    /// The link-level name of C symbol `cid`, when the plan renames it.
+    pub(crate) fn get(&self, cid: &str) -> Option<&str> {
+        Some(self.target(self.plan.find(cid)?))
+    }
+
+    /// The renames of the unit's compiled object `obj`, by symbol index.
+    pub(crate) fn renames(&self, obj: usize) -> Vec<(SymId, &str)> {
+        self.plan.objects[obj].iter().map(|&(id, ix)| (id, self.target(ix as usize))).collect()
+    }
+
+    /// The whole renaming as a map, for flattening.
+    pub(crate) fn to_map(&self) -> SymbolMap {
+        let plan = &self.plan;
+        plan.syms
+            .iter()
+            .enumerate()
+            .map(|(i, (cid, _))| (cid.get(&plan.text).to_string(), self.target(i).to_string()))
+            .collect()
+    }
+
+    /// Content hash of the renaming: the plan's hash and every target.
+    pub(crate) fn hash(&self) -> u64 {
+        let mut h = StableHasher::new();
+        h.write_u64(self.plan.hash);
+        for i in 0..self.ends.len() {
+            h.write_str(self.target(i));
+        }
+        h.finish()
+    }
 }
 
 /// Link-visible names a flatten group must keep: exports wired to
@@ -631,7 +851,7 @@ pub(crate) fn group_externals(
     el: &Elaboration,
     group: &BTreeSet<usize>,
     schedule: &Schedule,
-    maps: &[Arc<SymbolMap>],
+    maps: &[Arc<InstanceSyms>],
 ) -> BTreeSet<String> {
     let mut ext: BTreeSet<String> = BTreeSet::new();
     fn add_port(
@@ -671,7 +891,7 @@ pub(crate) fn group_externals(
     for (inst, func) in schedule.inits.iter().chain(schedule.finis.iter()) {
         if group.contains(inst) {
             if let Some(m) = maps[*inst].get(func) {
-                ext.insert(m.clone());
+                ext.insert(m.to_string());
             }
         }
     }
@@ -692,28 +912,25 @@ pub(crate) fn root_exports_map(program: &Program, el: &Elaboration) -> BTreeMap<
     exports
 }
 
-/// Generate the `__knit_boot` object: `__knit_init`, `__knit_fini`, and
-/// `__start` (init → optional entry call → fini → return).
+/// Generate the `__knit_boot` object: `__knit_init` and `__knit_fini`
+/// calling the link-level names `inits` and `finis` in order, and
+/// `__start` (init → optional entry call → fini → return), whose entry is
+/// looked up in the root export map `exports`.
 pub(crate) fn boot_object(
-    program: &Program,
-    el: &Elaboration,
-    schedule: &Schedule,
-    maps: &[Arc<SymbolMap>],
+    inits: &[String],
+    finis: &[String],
+    exports: &BTreeMap<String, String>,
     opts: &BuildOptions,
-) -> Result<(ObjectFile, BTreeMap<String, String>), KnitError> {
+) -> Result<ObjectFile, KnitError> {
     let mut obj = ObjectFile::new("__knit_boot.o");
     let init_sym = obj.add_symbol(Symbol::func("__knit_init"));
     let fini_sym = obj.add_symbol(Symbol::func("__knit_fini"));
     let start_sym = obj.add_symbol(Symbol::func("__start"));
 
-    let resolve = |inst: usize, func: &str| -> String {
-        maps[inst].get(func).cloned().unwrap_or_else(|| func.to_string())
-    };
-
     // __knit_init
     let mut body = Vec::new();
-    for (inst, func) in &schedule.inits {
-        let target = obj.add_symbol(Symbol::undef(resolve(*inst, func)));
+    for name in inits {
+        let target = obj.add_symbol(Symbol::undef(name.as_str()));
         body.push(Instr::Call { dst: None, target, args: vec![] });
     }
     body.push(Instr::Ret { value: None });
@@ -721,15 +938,12 @@ pub(crate) fn boot_object(
 
     // __knit_fini
     let mut body = Vec::new();
-    for (inst, func) in &schedule.finis {
-        let target = obj.add_symbol(Symbol::undef(resolve(*inst, func)));
+    for name in finis {
+        let target = obj.add_symbol(Symbol::undef(name.as_str()));
         body.push(Instr::Call { dst: None, target, args: vec![] });
     }
     body.push(Instr::Ret { value: None });
     obj.funcs.push(FuncDef { sym: fini_sym, params: 0, nregs: 0, frame_size: 0, body });
-
-    // exports table: every root export member's mangled name
-    let exports = root_exports_map(program, el);
 
     // __start
     let entry_member = opts.entry.clone().unwrap_or_else(|| "main".to_string());
@@ -758,5 +972,5 @@ pub(crate) fn boot_object(
     body.push(Instr::Ret { value: ret_reg });
     obj.funcs.push(FuncDef { sym: start_sym, params: 0, nregs: 1, frame_size: 0, body });
 
-    Ok((obj, exports))
+    Ok(obj)
 }

@@ -40,19 +40,15 @@
 //!   normal build whenever the template is not eligible (unit already on
 //!   the instantiation stack, or interior `flatten` roots).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::hash::BuildHasherDefault;
+use std::collections::{BTreeMap, BTreeSet};
 
+use cobj::fnv::FnvMap;
 use knit_lang::ast::{UnitBody, UnitDecl};
 use knit_lang::token::Span;
 
 use crate::error::KnitError;
-use crate::intern::{FnvHasher, Sym};
+use crate::intern::Sym;
 use crate::model::{BindSyms, Program, UnitSyms};
-
-/// Interned-key maps on the hot path use FNV: symbol text is short and
-/// trusted, and SipHash costs more than the probe.
-type FnvMap<K, V> = HashMap<K, V, BuildHasherDefault<FnvHasher>>;
 
 /// Where an import port gets its implementation.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -24,35 +24,16 @@
 //! a few hundred kilobytes at the 10k-unit scale.
 
 use std::borrow::Borrow;
-use std::collections::HashSet;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::RwLock;
 
-/// FNV-1a. The interner probes with short identifier strings on the
-/// elaboration hot path; the default SipHash costs more than the probe
-/// itself, and an interner needs no DoS resistance — its keys come from
-/// source text the user already controls.
-#[derive(Default)]
-pub struct FnvHasher(u64);
+use cobj::fnv::FnvSet;
 
-impl Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        let mut h = if self.0 == 0 { 0xcbf2_9ce4_8422_2325 } else { self.0 };
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        self.0 = h;
-    }
-}
+// The interner probes with short identifier strings on the elaboration
+// hot path, so it hashes with FNV-1a rather than SipHash.
+type StrSet = FnvSet<&'static str>;
 
-type FnvSet = HashSet<&'static str, BuildHasherDefault<FnvHasher>>;
-
-static INTERNER: RwLock<Option<FnvSet>> = RwLock::new(None);
+static INTERNER: RwLock<Option<StrSet>> = RwLock::new(None);
 
 /// An interned string: `Copy`, pointer-equality, string-ordered.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -67,7 +48,7 @@ impl Sym {
             }
         }
         let mut guard = INTERNER.write().unwrap();
-        let set = guard.get_or_insert_with(FnvSet::default);
+        let set = guard.get_or_insert_with(StrSet::default);
         if let Some(&hit) = set.get(s) {
             return Sym(hit);
         }

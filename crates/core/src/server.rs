@@ -653,8 +653,16 @@ impl ServerHandle {
     }
 }
 
+/// The longest request line a connection may send, newline excluded —
+/// and so the most a client can make the server buffer. The largest real
+/// requests, `load_units` and `update_source` carrying a source file, are
+/// kilobytes.
+pub const MAX_REQUEST_LINE: usize = 8 << 20;
+
 /// One connection's request loop: handshake, then requests in order, with
-/// `watch` attaching an event-pusher thread that shares the write side.
+/// `watch` attaching an event-pusher thread that shares the write side. A
+/// line longer than [`MAX_REQUEST_LINE`] is answered with `K0017` and
+/// closes the connection.
 fn serve_connection(engine: Engine, addr: String, stream: Stream) {
     let reader = match stream.try_clone() {
         Ok(s) => BufReader::new(s),
@@ -662,15 +670,22 @@ fn serve_connection(engine: Engine, addr: String, stream: Stream) {
     };
     let writer = Arc::new(Mutex::new(stream));
     let mut reader = reader;
-    let mut line = String::new();
+    let mut line: Vec<u8> = Vec::new();
     let mut hello_done = false;
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
+        match (&mut reader).take(MAX_REQUEST_LINE as u64 + 1).read_until(b'\n', &mut line) {
             Ok(0) | Err(_) => break, // EOF or torn connection
             Ok(_) => {}
         }
-        let text = line.trim_end_matches(['\r', '\n']);
+        if line.len() > MAX_REQUEST_LINE && line.last() != Some(&b'\n') {
+            let what = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
+            send(&writer, &Response::malformed(what));
+            let _ = writer.lock().unwrap_or_else(|e| e.into_inner()).shutdown(NetShutdown::Both);
+            break;
+        }
+        let Ok(text) = std::str::from_utf8(&line) else { break };
+        let text = text.trim_end_matches(['\r', '\n']);
         if text.is_empty() {
             continue;
         }
@@ -692,12 +707,7 @@ fn serve_connection(engine: Engine, addr: String, stream: Stream) {
                     let writer = Arc::clone(&writer);
                     std::thread::spawn(move || {
                         while let Ok(event) = rx.recv() {
-                            let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
-                            let line = Response::Event(event).to_json();
-                            if w.write_all(line.as_bytes()).is_err()
-                                || w.write_all(b"\n").is_err()
-                                || w.flush().is_err()
-                            {
+                            if !send(&writer, &Response::Event(event)) {
                                 break;
                             }
                         }
@@ -711,15 +721,8 @@ fn serve_connection(engine: Engine, addr: String, stream: Stream) {
             }
             Ok(req) => engine.handle(&req),
         };
-        {
-            let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
-            let line = resp.to_json();
-            if w.write_all(line.as_bytes()).is_err()
-                || w.write_all(b"\n").is_err()
-                || w.flush().is_err()
-            {
-                break;
-            }
+        if !send(&writer, &resp) {
+            break;
         }
         if stop {
             // Wake the acceptor so `Server::run` notices the flag.
@@ -727,6 +730,14 @@ fn serve_connection(engine: Engine, addr: String, stream: Stream) {
             break;
         }
     }
+}
+
+/// Write `resp` as one line on a connection's shared write side; false
+/// when the connection is gone.
+fn send(writer: &Mutex<Stream>, resp: &Response) -> bool {
+    let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
+    let line = resp.to_json();
+    w.write_all(line.as_bytes()).is_ok() && w.write_all(b"\n").is_ok() && w.flush().is_ok()
 }
 
 // ---------------------------------------------------------------------------

@@ -40,9 +40,9 @@ use crate::analyze::{self, AnalysisMemo, AnalysisReport, LintConfig};
 use crate::cache::{BuildCache, StableHasher};
 use crate::constraints::{self, ConstraintReport};
 use crate::driver::{
-    atomic_body, boot_object, compile_unit_cached, flatten_opts, group_externals,
-    instance_symbol_map, root_exports_map, run_indexed, BuildOptions, BuildReport, BuildStats,
-    CompiledUnit, SymbolMap, UnitCompile,
+    atomic_body, boot_object, compile_unit_cached, flatten_opts, group_externals, rename_plan,
+    root_exports_map, run_indexed, BuildOptions, BuildReport, BuildStats, CompiledUnit,
+    InstanceSyms, RenamePlan, UnitCompile,
 };
 use crate::elaborate::{elaborate, Elaboration};
 use crate::error::KnitError;
@@ -108,6 +108,11 @@ struct UnitMemo {
     cu: Arc<CompiledUnit>,
     /// Every source-tree path the compile consulted (hits and misses).
     reads: BTreeSet<String>,
+    /// The unit's symbol-surgery plan, with the elaboration and schedule
+    /// fingerprints it was made under: beyond `cu` and the declaration, a
+    /// plan reads the unit's ports, their bundle types and its
+    /// initializer/finalizer names, which those two fingerprints cover.
+    plan: Option<([u64; 2], Arc<RenamePlan>)>,
 }
 
 /// Work-item counts from the last completed build, used to keep
@@ -123,16 +128,16 @@ struct Counts {
 /// root export map.
 type BootArtifact = (Arc<ObjectFile>, BTreeMap<String, String>);
 
-/// One instance's memoized symbol map.
+/// One instance's memoized symbol surgery.
 #[derive(Debug)]
 struct MapMemo {
-    /// Everything [`instance_symbol_map`] reads: the elaboration and
-    /// schedule fingerprints, and the unit's declaration fingerprint and
-    /// compile key.
+    /// Everything the plan and the stamped names read: the elaboration
+    /// and schedule fingerprints, and the unit's declaration fingerprint
+    /// and compile key.
     key: [u64; 4],
-    map: Arc<SymbolMap>,
-    /// Hash of the map's contents, computed once with it; the objcopy and
-    /// flatten fingerprints hash this instead of the map.
+    syms: Arc<InstanceSyms>,
+    /// [`InstanceSyms::hash`], computed once with it; the objcopy and
+    /// flatten fingerprints hash this instead of the names.
     hash: u64,
 }
 
@@ -149,7 +154,8 @@ pub(crate) struct Memo {
     units: BTreeMap<String, UnitMemo>,
     /// By instance id.
     maps: Vec<Option<MapMemo>>,
-    objcopy: BTreeMap<usize, (u64, Vec<Arc<ObjectFile>>)>,
+    /// By instance id.
+    objcopy: Vec<Option<(u64, Vec<Arc<ObjectFile>>)>>,
     flatten: BTreeMap<usize, (u64, Arc<ObjectFile>)>,
     boot: Option<(u64, BootArtifact)>,
     link: Option<(u64, Linked)>,
@@ -423,6 +429,36 @@ fn fp_options(opts: &BuildOptions) -> u64 {
 // the phase-split build
 // ---------------------------------------------------------------------------
 
+impl UnitMemo {
+    /// Unit `name`'s rename plan: the memoized one when it was made under
+    /// the same elaboration and schedule fingerprints (`fps`), else a new
+    /// one, memoized in turn. An unbound-symbol error blames
+    /// `first_instance`, the unit's first instance.
+    fn plan(
+        &mut self,
+        program: &Program,
+        name: &str,
+        first_instance: &str,
+        fps: [u64; 2],
+    ) -> Result<Arc<RenamePlan>, KnitError> {
+        if let Some((made, plan)) = &self.plan {
+            if *made == fps {
+                return Ok(Arc::clone(plan));
+            }
+        }
+        let plan =
+            rename_plan(program, name, &self.cu, first_instance).map_err(|e| {
+                match program.unit_site(name) {
+                    Some((file, span)) => e.at(file, span),
+                    None => e,
+                }
+            })?;
+        let plan = Arc::new(plan);
+        self.plan = Some((fps, Arc::clone(&plan)));
+        Ok(plan)
+    }
+}
+
 /// Run the eight-phase pipeline over `memo`, rerunning exactly the phases
 /// whose fingerprints changed (and, for compiles, the units whose ledger
 /// intersects `dirty`). With a fresh [`Memo`] this is precisely the old
@@ -527,35 +563,40 @@ pub(crate) fn run_build(
     // and none of the paths it read were edited (the ledger was pruned
     // above); everything else goes through the content-hash cache,
     // concurrently under `opts.jobs`.
-    let distinct: Vec<String> = {
-        let set: BTreeSet<&str> = el.instances.iter().map(|i| i.unit.as_str()).collect();
-        set.into_iter().map(str::to_string).collect()
-    };
-    let mut decl_fps: BTreeMap<&str, u64> = BTreeMap::new();
-    let mut to_compile: Vec<&str> = Vec::new();
-    for name in &distinct {
+    // Distinct units in name order, and each instance's index into them:
+    // the per-unit tables below are vectors over that index.
+    let distinct: Vec<&str> = el.by_unit.keys().map(|u| u.as_str()).collect();
+    let mut unit_ix: Vec<usize> = vec![0; el.instances.len()];
+    for (u, ids) in el.by_unit.values().enumerate() {
+        for &id in ids {
+            unit_ix[id] = u;
+        }
+    }
+    let mut decl_fps: Vec<u64> = Vec::with_capacity(distinct.len());
+    let mut to_compile: Vec<usize> = Vec::new();
+    for (u, &name) in distinct.iter().enumerate() {
         let decl_fp = fp_unit_decl(program, name, opts);
-        let reusable = matches!(memo.units.get(name.as_str()), Some(m) if m.decl_fp == decl_fp);
-        decl_fps.insert(name, decl_fp);
+        let reusable = matches!(memo.units.get(name), Some(m) if m.decl_fp == decl_fp);
+        decl_fps.push(decl_fp);
         if !reusable {
-            to_compile.push(name);
+            to_compile.push(u);
         }
     }
     let compile_results = run_indexed(opts.jobs, to_compile.len(), |i| {
         let start = Instant::now();
-        let r = compile_unit_cached(program, tree, to_compile[i], opts, cache);
+        let r = compile_unit_cached(program, tree, distinct[to_compile[i]], opts, cache);
         (r, start.elapsed())
     });
-    let mut fresh = BTreeMap::new();
-    for (name, (result, duration)) in to_compile.iter().zip(compile_results) {
-        fresh.insert(*name, (result?, duration));
+    let mut fresh: Vec<Option<_>> = (0..distinct.len()).map(|_| None).collect();
+    for (&u, (result, duration)) in to_compile.iter().zip(compile_results) {
+        fresh[u] = Some((result?, duration));
     }
-    let mut compiled: BTreeMap<String, Arc<CompiledUnit>> = BTreeMap::new();
-    let mut unit_keys: BTreeMap<String, u64> = BTreeMap::new();
+    let mut compiled: Vec<Arc<CompiledUnit>> = Vec::with_capacity(distinct.len());
+    let mut unit_keys: Vec<u64> = Vec::with_capacity(distinct.len());
     let mut unit_compiles: Vec<UnitCompile> = Vec::with_capacity(distinct.len());
     let (mut cache_hits, mut cache_misses, mut ledger_reuses) = (0usize, 0usize, 0usize);
-    for name in &distinct {
-        if let Some((ub, duration)) = fresh.remove(name.as_str()) {
+    for (u, &name) in distinct.iter().enumerate() {
+        if let Some((ub, duration)) = fresh[u].take() {
             if ub.cache_hit {
                 cache_hits += 1;
                 stats.unit_compiles.reuses += 1;
@@ -564,30 +605,31 @@ pub(crate) fn run_build(
                 stats.unit_compiles.runs += 1;
             }
             unit_compiles.push(UnitCompile {
-                unit: name.clone(),
+                unit: name.to_string(),
                 duration,
                 cache_hit: ub.cache_hit,
             });
-            compiled.insert(name.clone(), Arc::clone(&ub.cu));
-            unit_keys.insert(name.clone(), ub.key);
+            compiled.push(Arc::clone(&ub.cu));
+            unit_keys.push(ub.key);
             let unit_memo = UnitMemo {
-                decl_fp: decl_fps[name.as_str()],
+                decl_fp: decl_fps[u],
                 key: ub.key,
                 cu: ub.cu,
                 reads: ub.reads,
+                plan: None,
             };
-            superseded.extend(memo.units.insert(name.clone(), unit_memo));
+            superseded.extend(memo.units.insert(name.to_string(), unit_memo));
         } else {
-            let m = &memo.units[name.as_str()];
+            let m = &memo.units[name];
             ledger_reuses += 1;
             stats.unit_compiles.reuses += 1;
             unit_compiles.push(UnitCompile {
-                unit: name.clone(),
+                unit: name.to_string(),
                 duration: Duration::ZERO,
                 cache_hit: true,
             });
-            compiled.insert(name.clone(), Arc::clone(&m.cu));
-            unit_keys.insert(name.clone(), m.key);
+            compiled.push(Arc::clone(&m.cu));
+            unit_keys.push(m.key);
         }
     }
     // Only now, with this build's artifacts held, can the cache tell which
@@ -597,36 +639,10 @@ pub(crate) fn run_build(
     }
     phase!("compile");
 
-    // --- per-instance symbol maps (memoized per instance on everything
-    //     they read) + objcopy rename/duplicate ---
-    memo.maps.resize_with(el.instances.len(), || None);
-    let mut maps: Vec<Arc<SymbolMap>> = Vec::with_capacity(el.instances.len());
-    let mut map_hashes: Vec<u64> = Vec::with_capacity(el.instances.len());
-    for inst in &el.instances {
-        let unit = inst.unit.as_str();
-        let key = [el_fp, s_fp, decl_fps[unit], unit_keys[unit]];
-        let slot = &mut memo.maps[inst.id];
-        if !matches!(slot, Some(m) if m.key == key) {
-            let map = instance_symbol_map(program, &el, inst.id, compiled[unit].as_ref()).map_err(
-                |e| match program.unit_site(unit) {
-                    Some((file, span)) => {
-                        let file = file.to_string();
-                        e.at(&file, span)
-                    }
-                    None => e,
-                },
-            )?;
-            let mut h = StableHasher::new();
-            for (k, v) in &map {
-                h.write_str(k);
-                h.write_str(v);
-            }
-            *slot = Some(MapMemo { key, map: Arc::new(map), hash: h.finish() });
-        }
-        let m = slot.as_ref().expect("filled above");
-        maps.push(Arc::clone(&m.map));
-        map_hashes.push(m.hash);
-    }
+    // --- symbol surgery: a rename plan once per distinct unit (memoized
+    //     next to its compile), then per instance the stamped target names
+    //     (memoized on everything they read) and the objcopy by symbol
+    //     index ---
     // Only instances with source translation units can be merged; units
     // built from pre-compiled objects stay on the objcopy path even when
     // inside a flatten group.
@@ -635,50 +651,78 @@ pub(crate) fn run_build(
             .iter()
             .flatten()
             .copied()
-            .filter(|&id| !compiled[el.instances[id].unit.as_str()].tus.is_empty())
+            .filter(|&id| !compiled[unit_ix[id]].tus.is_empty())
             .collect()
     } else {
         BTreeSet::new()
     };
-    let mut linked_objects: Vec<Arc<ObjectFile>> = Vec::new();
-    let mut objcopy_fps: Vec<(usize, u64)> = Vec::new();
+    memo.maps.resize_with(el.instances.len(), || None);
+    memo.objcopy.resize_with(el.instances.len(), || None);
+    let map_key = |id: usize| [el_fp, s_fp, decl_fps[unit_ix[id]], unit_keys[unit_ix[id]]];
+    let mut stale: Vec<bool> = vec![false; distinct.len()];
+    for id in 0..el.instances.len() {
+        if !matches!(&memo.maps[id], Some(m) if m.key == map_key(id)) {
+            stale[unit_ix[id]] = true;
+        }
+    }
+    // Plans of the units with a stale instance, in unit-name order. The
+    // error reported is that of the failing unit instantiated first.
+    let mut plans: Vec<Option<Arc<RenamePlan>>> = vec![None; distinct.len()];
+    let mut failed: Option<(usize, KnitError)> = None;
+    for ((u, ids), &name) in el.by_unit.values().enumerate().zip(&distinct) {
+        if !stale[u] {
+            continue;
+        }
+        let unit_memo = memo.units.get_mut(name).expect("compiled above");
+        match unit_memo.plan(program, name, &el.instances[ids[0]].path, [el_fp, s_fp]) {
+            Ok(plan) => plans[u] = Some(plan),
+            Err(e) if failed.as_ref().is_none_or(|(first, _)| ids[0] < *first) => {
+                failed = Some((ids[0], e));
+            }
+            Err(_) => {}
+        }
+    }
+    if let Some((_, e)) = failed {
+        return Err(e);
+    }
+    // Stamp and objcopy in instance order, the link's input order.
+    let mut maps: Vec<Arc<InstanceSyms>> = Vec::with_capacity(el.instances.len());
+    let mut map_hashes: Vec<u64> = Vec::with_capacity(el.instances.len());
+    let mut linked_objects: Vec<Arc<ObjectFile>> = Vec::with_capacity(el.instances.len());
+    let mut objcopy_fps: Vec<(usize, u64)> = Vec::with_capacity(el.instances.len());
     for inst in &el.instances {
-        if flattened.contains(&inst.id) {
+        let (id, u) = (inst.id, unit_ix[inst.id]);
+        let key = map_key(id);
+        if !matches!(&memo.maps[id], Some(m) if m.key == key) {
+            let syms = InstanceSyms::stamp(plans[u].as_ref().expect("planned above"), &el, id);
+            memo.maps[id] = Some(MapMemo { key, hash: syms.hash(), syms: Arc::new(syms) });
+        }
+        let m = memo.maps[id].as_ref().expect("stamped above");
+        maps.push(Arc::clone(&m.syms));
+        map_hashes.push(m.hash);
+        if flattened.contains(&id) {
             continue;
         }
         let fp = {
             let mut h = StableHasher::new();
             h.write_str("objcopy");
-            h.write_u64(unit_keys[inst.unit.as_str()]);
+            h.write_u64(unit_keys[u]);
             h.write_str(&inst.path);
-            h.write_u64(map_hashes[inst.id]);
+            h.write_u64(m.hash);
             h.finish()
         };
-        match memo.objcopy.get(&inst.id) {
+        match &memo.objcopy[id] {
             Some((f, objs)) if *f == fp => {
                 stats.objcopy.reuses += 1;
                 linked_objects.extend(objs.iter().cloned());
             }
             _ => {
                 stats.objcopy.runs += 1;
-                let cu = &compiled[inst.unit.as_str()];
+                let cu = &compiled[u];
                 let mut objs: Vec<Arc<ObjectFile>> = Vec::with_capacity(cu.objects.len());
-                for obj in &cu.objects {
-                    let present: BTreeMap<String, String> = maps[inst.id]
-                        .iter()
-                        .filter(|(k, _)| {
-                            obj.symbols.iter().any(|s| {
-                                s.name == **k
-                                    && !matches!(
-                                        s.def,
-                                        cobj::object::SymDef::Defined { local: true, .. }
-                                    )
-                            })
-                        })
-                        .map(|(k, v)| (k.clone(), v.clone()))
-                        .collect();
+                for (j, obj) in cu.objects.iter().enumerate() {
                     let mut renamed =
-                        cobj::objcopy::rename_symbols(obj, &present).map_err(|e| {
+                        cobj::objcopy::rename(obj, &m.syms.renames(j)).map_err(|e| {
                             KnitError::BadDeclaration {
                                 unit: inst.unit.to_string(),
                                 what: format!("objcopy: {e}"),
@@ -688,10 +732,10 @@ pub(crate) fn run_build(
                     objs.push(Arc::new(renamed));
                 }
                 linked_objects.extend(objs.iter().cloned());
-                memo.objcopy.insert(inst.id, (fp, objs));
+                memo.objcopy[id] = Some((fp, objs));
             }
         }
-        objcopy_fps.push((inst.id, fp));
+        objcopy_fps.push((id, fp));
     }
     phase!("objcopy");
 
@@ -718,7 +762,7 @@ pub(crate) fn run_build(
                 h.write_str("flatten");
                 for &id in &group_set {
                     h.write_u64(id as u64);
-                    h.write_u64(unit_keys[el.instances[id].unit.as_str()]);
+                    h.write_u64(unit_keys[unit_ix[id]]);
                     h.write_u64(map_hashes[id]);
                 }
                 for e in &external {
@@ -742,12 +786,10 @@ pub(crate) fn run_build(
                     stats.flatten.runs += 1;
                     let mut inputs = Vec::new();
                     for &id in &group_set {
-                        let inst = &el.instances[id];
-                        let cu = &compiled[inst.unit.as_str()];
                         inputs.push(flatten::FlattenInput {
                             tag: format!("k{id}"),
-                            tus: cu.tus.clone(),
-                            symbol_map: maps[id].as_ref().clone(),
+                            tus: compiled[unit_ix[id]].tus.clone(),
+                            symbol_map: maps[id].to_map(),
                         });
                     }
                     order.push((gi, fp, None));
@@ -779,16 +821,21 @@ pub(crate) fn run_build(
 
     // --- boot object ---
     let exports_map = root_exports_map(program, &el);
+    let link_name = |(inst, func): &(usize, String)| -> String {
+        maps[*inst].get(func).unwrap_or(func).to_string()
+    };
+    let inits: Vec<String> = schedule.inits.iter().map(link_name).collect();
+    let finis: Vec<String> = schedule.finis.iter().map(link_name).collect();
     let boot_fp = {
         let mut h = StableHasher::new();
         h.write_str("boot");
-        for (inst, func) in &schedule.inits {
+        for name in &inits {
             h.write_str("init");
-            h.write_str(maps[*inst].get(func).map_or(func.as_str(), String::as_str));
+            h.write_str(name);
         }
-        for (inst, func) in &schedule.finis {
+        for name in &finis {
             h.write_str("fini");
-            h.write_str(maps[*inst].get(func).map_or(func.as_str(), String::as_str));
+            h.write_str(name);
         }
         for (k, v) in &exports_map {
             h.write_str(k);
@@ -810,8 +857,8 @@ pub(crate) fn run_build(
         }
         _ => {
             stats.generate.runs += 1;
-            let (boot, exports) = boot_object(program, &el, &schedule, &maps, opts)?;
-            let v = (Arc::new(boot), exports);
+            let boot = boot_object(&inits, &finis, &exports_map, opts)?;
+            let v = (Arc::new(boot), exports_map);
             memo.boot = Some((boot_fp, v.clone()));
             v
         }

@@ -231,3 +231,121 @@ fn diagnostics_doc_is_in_sync_with_the_registries() {
          UPDATE_DIAGNOSTICS_MD=1 cargo test -p knit --test diagnostics"
     );
 }
+
+// ---------------------------------------------------------------------------
+// symbol surgery: pinned rendered text and `--error-format=json` bytes
+// ---------------------------------------------------------------------------
+
+/// Build `units` rooted at `Sys` and render the error the way `knitc`
+/// prints it: every diagnostic's human text, and its JSON line.
+fn surgery_error(units: &str, files: &[(&str, &str)]) -> (String, String) {
+    let mut p = Program::new();
+    p.load_str("t.unit", units).expect("units parse");
+    let mut t = SourceTree::new();
+    for (path, src) in files {
+        t.add(*path, *src);
+    }
+    let err = build(&p, &t, &BuildOptions::new("Sys", runtime())).expect_err("build must fail");
+    let diags = err.diagnostics();
+    let human: Vec<String> = diags.iter().map(|d| d.human()).collect();
+    let json: Vec<String> = diags.iter().map(|d| d.json()).collect();
+    (human.join("\n"), json.join("\n"))
+}
+
+#[test]
+fn undefined_export_symbol_is_pinned() {
+    let (human, json) = surgery_error(
+        r#"
+        bundletype T = { f }
+        unit Hollow = { exports [ o : T ]; files { "h.c" }; }
+        unit Sys = { exports [ o : T ]; link { h : Hollow; o = h.o; }; }
+        "#,
+        &[("h.c", "int g() { return 1; }")],
+    );
+    assert_eq!(human, "error[K0009]: t.unit:3:9: unit `Hollow`: export `o.f` should be defined as C symbol `f`, but no file defines it");
+    assert_eq!(
+        json,
+        r#"{"code":"K0009","severity":"error","message":"unit `Hollow`: export `o.f` should be defined as C symbol `f`, but no file defines it","span":{"file":"t.unit","line":3,"col":9},"notes":[]}"#
+    );
+}
+
+#[test]
+fn undefined_initializer_is_pinned() {
+    let (human, json) = surgery_error(
+        r#"
+        bundletype T = { f }
+        unit Lazy = { exports [ o : T ]; initializer boot for o; files { "l.c" }; }
+        unit Sys = { exports [ o : T ]; link { l : Lazy; o = l.o; }; }
+        "#,
+        &[("l.c", "int f() { return 1; }")],
+    );
+    assert_eq!(human, "error[K0009]: t.unit:3:9: unit `Lazy`: initializer/finalizer `boot` is not defined by the unit");
+    assert_eq!(
+        json,
+        r#"{"code":"K0009","severity":"error","message":"unit `Lazy`: initializer/finalizer `boot` is not defined by the unit","span":{"file":"t.unit","line":3,"col":9},"notes":[]}"#
+    );
+}
+
+#[test]
+fn import_export_clash_is_pinned() {
+    let (human, json) = surgery_error(
+        r#"
+        bundletype T = { f }
+        unit Wrap = { imports [ i : T ]; exports [ o : T ]; files { "w.c" }; }
+        unit Base = { exports [ o : T ]; files { "b.c" }; }
+        unit Sys = { exports [ o : T ]; link { b : Base; w : Wrap [ i = b.o ]; o = w.o; }; }
+        "#,
+        &[("w.c", "int f() { return 1; }"), ("b.c", "int f() { return 2; }")],
+    );
+    assert_eq!(human, "error[K0007]: t.unit:3:9: unit `Wrap`: C identifier `f` is both imported and exported\n  note: add `rename { <port>.<member> to <other_name>; }` in unit `Wrap` (§3.2)");
+    assert_eq!(
+        json,
+        r#"{"code":"K0007","severity":"error","message":"unit `Wrap`: C identifier `f` is both imported and exported","span":{"file":"t.unit","line":3,"col":9},"notes":["add `rename { <port>.<member> to <other_name>; }` in unit `Wrap` (§3.2)"]}"#
+    );
+}
+
+/// A unit instantiated twice fails the same way in both instances; the
+/// error blames the first instance in instance order.
+#[test]
+fn unbound_symbol_blames_the_first_instance() {
+    let (human, json) = surgery_error(
+        r#"
+        bundletype T = { f }
+        unit Leaky = { exports [ o : T ]; files { "k.c" }; }
+        unit Pair = { exports [ o : T ]; link { a : Leaky; b : Leaky; o = b.o; }; }
+        unit Sys = { exports [ o : T ]; link { p : Pair; o = p.o; }; }
+        "#,
+        &[("k.c", "int ghost();\nint f() { return ghost(); }")],
+    );
+    assert_eq!(human, "error[K0006]: t.unit:3:9: instance `Sys/p/a`: code references `ghost`, which is neither defined, imported, nor a runtime symbol\n  note: either import a bundle providing it, define it, or rename the reference");
+    assert_eq!(
+        json,
+        r#"{"code":"K0006","severity":"error","message":"instance `Sys/p/a`: code references `ghost`, which is neither defined, imported, nor a runtime symbol","span":{"file":"t.unit","line":3,"col":9},"notes":["either import a bundle providing it, define it, or rename the reference"]}"#
+    );
+}
+
+/// An import wired to its own unit's export renames a reference onto the
+/// instance's own definition; objcopy rejects the collision.
+#[test]
+fn objcopy_rename_collision_is_pinned() {
+    let (human, json) = surgery_error(
+        r#"
+        bundletype T = { f }
+        unit Loop = {
+            imports [ i : T ]; exports [ o : T ];
+            rename { i.f to g; };
+            files { "l.c" };
+        }
+        unit Sys = { exports [ o : T ]; link { l : Loop [ i = l.o ]; o = l.o; }; }
+        "#,
+        &[("l.c", "int g();\nint f() { return g(); }")],
+    );
+    assert_eq!(
+        human,
+        "error[K0009]: unit `Loop`: objcopy: objcopy: l.o: rename collides on `f_o_i0`"
+    );
+    assert_eq!(
+        json,
+        r#"{"code":"K0009","severity":"error","message":"unit `Loop`: objcopy: objcopy: l.o: rename collides on `f_o_i0`","span":null,"notes":[]}"#
+    );
+}

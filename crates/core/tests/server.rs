@@ -6,7 +6,7 @@
 use std::io::{BufRead, BufReader, Write};
 
 use knit::proto::{self, Request, Response, SessionOptions};
-use knit::server::{Conn, Engine, Server};
+use knit::server::{Conn, Engine, Server, MAX_REQUEST_LINE};
 
 /// A three-unit program whose `value.c` is parameterized per client —
 /// `App` and `Top` have identical content in every variant, so their
@@ -316,6 +316,52 @@ fn hostile_nesting_is_k0017_and_the_connection_survives() {
     }
     assert_eq!(next(), Response::Pong);
     assert_eq!(next(), Response::Bye);
+    handle.join().expect("clean shutdown");
+}
+
+/// A request line that never ends is cut off at the cap: the client gets
+/// one `K0017` and its connection is closed, so the server's memory stays
+/// bounded — and the server keeps serving fresh connections.
+#[test]
+fn overlong_request_line_is_k0017_and_the_server_survives() {
+    let server = Server::bind(Engine::new(), "tcp:0").expect("binds");
+    let addr = server.addr().to_string();
+    let handle = server.spawn();
+
+    let tcp = addr.strip_prefix("tcp:").expect("tcp spec");
+    let mut stream = std::net::TcpStream::connect(tcp).expect("connects");
+    let hello = format!("{}\n", Request::Hello { version: proto::VERSION }.to_json());
+    stream.write_all(hello.as_bytes()).expect("writes");
+    // One byte past the cap, and no newline.
+    let chunk = vec![b'x'; 1 << 16];
+    let mut left = MAX_REQUEST_LINE + 1;
+    while left > 0 {
+        let n = left.min(chunk.len());
+        stream.write_all(&chunk[..n]).expect("writes");
+        left -= n;
+    }
+    stream.flush().expect("flushes");
+
+    let mut reader = BufReader::new(stream);
+    let mut next = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("reads");
+        line
+    };
+    let hello = next();
+    assert_eq!(
+        Response::from_json(hello.trim_end()),
+        Ok(Response::Hello { version: proto::VERSION })
+    );
+    match Response::from_json(next().trim_end()).expect("parses") {
+        Response::Error { diagnostics } => assert_eq!(diagnostics[0].code, "K0017"),
+        other => panic!("expected a K0017 rejection, got {other:?}"),
+    }
+    assert_eq!(next(), "", "the connection is closed after the rejection");
+
+    let mut conn = Conn::connect(&addr).expect("a fresh connection is served");
+    assert_eq!(ok(&mut conn, &Request::Ping), Response::Pong);
+    assert_eq!(ok(&mut conn, &Request::Shutdown), Response::Bye);
     handle.join().expect("clean shutdown");
 }
 
