@@ -14,12 +14,7 @@ pub mod synth;
 use clack::click::{build_click_router, ClickOpts};
 use clack::packets::{self, WorkloadOptions};
 use clack::{build_clack_router, build_hand_router, ip_router, router_build_inputs, RouterHarness};
-// `build_with_cache` is deprecated in favour of sessions; this harness
-// keeps measuring it deliberately — the serial/parallel/warm rows time the
-// one-shot path the paper's build-time table describes.
-#[allow(deprecated)]
-use knit::build_with_cache;
-use knit::{build, BuildCache, BuildOptions, Program, SourceTree};
+use knit::{build, BuildCache, BuildOptions, BuildSession, Program, SourceTree};
 use machine::Machine;
 
 /// A Table 1 / Table 2 packet workload of `count` forwardable IP frames,
@@ -642,7 +637,6 @@ pub struct BuildModeRow {
 /// edited rebuild equals a cold build of the edited tree; the speedup of
 /// the parallel row over the serial row is bounded by the machine's core
 /// count (on one core the two rows measure the same work).
-#[allow(deprecated)] // measures the one-shot `build_with_cache` path on purpose
 pub fn build_time_modes() -> Vec<BuildModeRow> {
     let (p, t, opts) = router_build_inputs(&ip_router(), false).expect("router inputs");
     let compile_ms = |r: &knit::BuildReport| {
@@ -666,13 +660,20 @@ pub fn build_time_modes() -> Vec<BuildModeRow> {
 
     let mut serial_opts = opts.clone();
     serial_opts.jobs = 1;
-    let serial = build_with_cache(&p, &t, &serial_opts, &BuildCache::new()).expect("serial build");
+    let serial = build(&p, &t, &serial_opts).expect("serial build");
 
+    // The parallel and warm rows are two fresh sessions sharing one cache:
+    // the second compiles nothing, but reruns every other phase.
     let mut par_opts = opts;
     par_opts.jobs = knit::default_jobs().max(2);
     let cache = BuildCache::new();
-    let parallel = build_with_cache(&p, &t, &par_opts, &cache).expect("parallel build");
-    let warm = build_with_cache(&p, &t, &par_opts, &cache).expect("warm build");
+    let cached_build = || {
+        BuildSession::from_parts(p.clone(), t.clone(), par_opts.clone())
+            .with_cache(cache.clone())
+            .build()
+    };
+    let parallel = cached_build().expect("parallel build");
+    let warm = cached_build().expect("warm build");
 
     assert_eq!(serial.image, parallel.image, "jobs must not change the image");
     assert_eq!(parallel.image, warm.image, "the cache must not change the image");
@@ -682,8 +683,8 @@ pub fn build_time_modes() -> Vec<BuildModeRow> {
     // the warm compile cache. The first build populates the session's memo
     // (all cache hits); the second is the unchanged fast path; then one
     // source edit invalidates exactly one unit.
-    let mut session = knit::BuildSession::from_parts(p.clone(), t.clone(), par_opts.clone())
-        .with_cache(cache.clone());
+    let mut session =
+        BuildSession::from_parts(p.clone(), t.clone(), par_opts.clone()).with_cache(cache.clone());
     session.build().expect("session warm build");
     let noop = session.build().expect("incremental no-op build");
     assert_eq!(noop.image, warm.image, "no-op rebuild must not change the image");
@@ -697,8 +698,7 @@ pub fn build_time_modes() -> Vec<BuildModeRow> {
     let incr = session.build().expect("incremental edit build");
     let mut t2 = t.clone();
     t2.add("counter.c", edited);
-    let cold_edited =
-        build_with_cache(&p, &t2, &par_opts, &BuildCache::new()).expect("cold edited build");
+    let cold_edited = build(&p, &t2, &par_opts).expect("cold edited build");
     assert_eq!(incr.image, cold_edited.image, "incremental rebuild must match a cold build");
     assert_eq!(incr.stats.units_compiled, 1, "one edit must recompile exactly one unit");
 

@@ -49,11 +49,10 @@ use std::sync::Arc;
 
 use cmini::ast::{Item, Storage};
 use cmini::visit::{merge_uses, tu_uses, TuUses};
-use cmini::CompileOptions;
 use knit_lang::ast::{PragmaLevel, UnitDecl};
 
 use crate::diag::{self, Diagnostic, Severity};
-use crate::driver::{atomic_body, c_id, BuildOptions, RecordingTree};
+use crate::driver::{atomic_body, c_id, read_unit, BuildOptions, FileInput};
 use crate::elaborate::{elaborate, Elaboration, Wire};
 use crate::error::KnitError;
 use crate::model::Program;
@@ -248,32 +247,21 @@ pub(crate) fn summarize_unit(
     unit_name: &str,
     opts: &BuildOptions,
 ) -> Result<UnitSummary, KnitError> {
-    let body = atomic_body(&program.units[unit_name]);
-    let flags: Vec<String> = match &body.flags {
-        Some(name) => program.flags[name].clone(),
-        None => opts.default_flags.clone(),
-    };
-    let copts = CompileOptions::from_flags(&flags)
-        .map_err(|e| KnitError::BadDeclaration { unit: unit_name.to_string(), what: e })?;
-
-    let recorder = RecordingTree::new(tree);
+    let inputs = read_unit(program, tree, unit_name, opts)?;
     let mut summary = UnitSummary::default();
     let mut statics_seen: BTreeSet<String> = BTreeSet::new();
     let mut parsed: Vec<cmini::ast::TranslationUnit> = Vec::new();
-    for file in &body.files {
-        recorder.note(file);
-        if let Some(obj) = tree.get_object(file) {
-            summary.defined.extend(obj.exported_names().iter().map(|s| s.to_string()));
-            // an object's undefined references count as uses of imports
-            summary.uses.referenced.extend(obj.undefined_names().iter().map(|s| s.to_string()));
-            continue;
-        }
-        let src = tree.get(file).ok_or_else(|| KnitError::MissingSource {
-            unit: unit_name.to_string(),
-            path: file.clone(),
-        })?;
-        let expanded = cmini::pp::preprocess(file, src, &copts.pp, &recorder)?;
-        let tu = cmini::frontend_expanded(file, &expanded)?;
+    for input in &inputs.files {
+        let (file, expanded) = match input {
+            FileInput::Object(obj) => {
+                summary.defined.extend(obj.exported_names().iter().map(|s| s.to_string()));
+                // an object's undefined references count as uses of imports
+                summary.uses.referenced.extend(obj.undefined_names().iter().map(|s| s.to_string()));
+                continue;
+            }
+            FileInput::Source { file, expanded } => (file, expanded),
+        };
+        let tu = cmini::frontend_expanded(file, expanded)?;
         for item in &tu.items {
             match item {
                 Item::Func(f) if f.body.is_some() && f.storage != Storage::Static => {
@@ -295,7 +283,7 @@ pub(crate) fn summarize_unit(
         parsed.push(tu);
     }
     summary.race = race::race_summary(&parsed);
-    summary.reads = recorder.reads.into_inner();
+    summary.reads = inputs.reads;
     Ok(summary)
 }
 

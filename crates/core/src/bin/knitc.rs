@@ -42,24 +42,29 @@ enum ErrorFormat {
     Json,
 }
 
+/// What a command line asks for beyond loading the session.
+enum Command {
+    /// Build (and optionally run or watch) the root unit.
+    Build,
+    /// `knitc lint`, with its per-run lint levels.
+    Lint(LintOptions),
+    /// `knitc pgo-suggest`.
+    PgoSuggest,
+}
+
 struct Args {
-    root: Option<String>,
+    command: Command,
+    /// The session the command line configures: root, entry, flatten,
+    /// constraint checking and jobs.
+    options: SessionOptions,
     src_dirs: Vec<PathBuf>,
     unit_files: Vec<PathBuf>,
     run: bool,
-    entry: Option<String>,
-    flatten: bool,
-    check: bool,
     verbose: bool,
     timings: bool,
-    jobs: Option<usize>,
     cache: bool,
     watch: bool,
     error_format: ErrorFormat,
-    lint: bool,
-    lint_overrides: Vec<(String, LintLevel)>,
-    deny_warnings: bool,
-    pgo_suggest: bool,
     profile_gen: Option<PathBuf>,
     profile_use: Option<PathBuf>,
     connect: Option<String>,
@@ -130,29 +135,32 @@ fn usage() -> ! {
 }
 
 fn parse_args(argv: Vec<String>) -> Args {
+    let mut it = argv.into_iter().peekable();
+    let command = match it.peek().map(String::as_str) {
+        Some("lint") => Command::Lint(LintOptions::default()),
+        Some("pgo-suggest") => Command::PgoSuggest,
+        _ => Command::Build,
+    };
+    if !matches!(command, Command::Build) {
+        it.next();
+    }
     let mut args = Args {
-        root: None,
+        command,
+        options: SessionOptions::new(String::new()),
         src_dirs: Vec::new(),
         unit_files: Vec::new(),
         run: false,
-        entry: None,
-        flatten: true,
-        check: true,
         verbose: false,
         timings: false,
-        jobs: None,
         cache: false,
         watch: false,
         error_format: ErrorFormat::Human,
-        lint: false,
-        lint_overrides: Vec::new(),
-        deny_warnings: false,
-        pgo_suggest: false,
         profile_gen: None,
         profile_use: None,
         connect: None,
         session: None,
     };
+    let mut root = None;
     let set_format = |args: &mut Args, v: &str| match v {
         "human" => args.error_format = ErrorFormat::Human,
         "json" => args.error_format = ErrorFormat::Json,
@@ -161,41 +169,36 @@ fn parse_args(argv: Vec<String>) -> Args {
             usage();
         }
     };
-    let mut it = argv.into_iter().peekable();
-    if it.peek().map(String::as_str) == Some("lint") {
-        args.lint = true;
-        it.next();
-    } else if it.peek().map(String::as_str) == Some("pgo-suggest") {
-        args.pgo_suggest = true;
-        it.next();
-    }
     while let Some(a) = it.next() {
-        match a.as_str() {
-            "--allow" | "--warn" | "--deny" if args.lint => {
-                let name = it.next().unwrap_or_else(|| usage());
-                if name == "warnings" {
-                    if a == "--deny" {
-                        args.deny_warnings = true;
-                    } else {
-                        eprintln!("knitc: `warnings` is only valid with --deny");
-                        usage();
-                    }
+        if let (Command::Lint(lint), "--allow" | "--warn" | "--deny") =
+            (&mut args.command, a.as_str())
+        {
+            let name = it.next().unwrap_or_else(|| usage());
+            if name == "warnings" {
+                if a == "--deny" {
+                    lint.deny_warnings = true;
                 } else {
-                    let level = match a.as_str() {
-                        "--allow" => LintLevel::Allow,
-                        "--warn" => LintLevel::Warn,
-                        _ => LintLevel::Deny,
-                    };
-                    args.lint_overrides.push((name, level));
+                    eprintln!("knitc: `warnings` is only valid with --deny");
+                    usage();
                 }
+            } else {
+                let level = match a.as_str() {
+                    "--allow" => LintLevel::Allow,
+                    "--warn" => LintLevel::Warn,
+                    _ => LintLevel::Deny,
+                };
+                lint.overrides.push((name, level));
             }
-            "--root" => args.root = Some(it.next().unwrap_or_else(|| usage())),
+            continue;
+        }
+        match a.as_str() {
+            "--root" => root = Some(it.next().unwrap_or_else(|| usage())),
             "--src" => args.src_dirs.push(PathBuf::from(it.next().unwrap_or_else(|| usage()))),
-            "--entry" => args.entry = Some(it.next().unwrap_or_else(|| usage())),
+            "--entry" => args.options.entry = Some(it.next().unwrap_or_else(|| usage())),
             "--jobs" => {
                 let n = it.next().unwrap_or_else(|| usage());
                 match n.parse::<usize>() {
-                    Ok(n) if n >= 1 => args.jobs = Some(n),
+                    Ok(n) if n >= 1 => args.options.jobs = Some(n),
                     _ => {
                         eprintln!("knitc: --jobs needs a positive integer, got `{n}`");
                         usage();
@@ -227,8 +230,8 @@ fn parse_args(argv: Vec<String>) -> Args {
             "--cache" => args.cache = true,
             "--run" => args.run = true,
             "--watch" => args.watch = true,
-            "--no-flatten" => args.flatten = false,
-            "--no-check" => args.check = false,
+            "--no-flatten" => args.options.flatten = false,
+            "--no-check" => args.options.check_constraints = false,
             "--timings" => args.timings = true,
             "-v" | "--verbose" => args.verbose = true,
             "-h" | "--help" => usage(),
@@ -239,8 +242,9 @@ fn parse_args(argv: Vec<String>) -> Args {
             other => args.unit_files.push(PathBuf::from(other)),
         }
     }
-    if args.root.is_none() || args.unit_files.is_empty() {
-        usage();
+    match root {
+        Some(root) if !args.unit_files.is_empty() => args.options.root = root,
+        _ => usage(),
     }
     args
 }
@@ -291,6 +295,27 @@ fn expect_ok(resp: Response, format: ErrorFormat) -> Result<Response, ExitCode> 
             Err(ExitCode::FAILURE)
         }
         other => Ok(other),
+    }
+}
+
+/// Report a response of the wrong kind (a protocol bug) and fail.
+fn unexpected(what: &str, resp: &Response) -> ExitCode {
+    eprintln!("knitc: internal error: unexpected {what} response {resp:?}");
+    ExitCode::FAILURE
+}
+
+/// Build `session`, with its wire image when `want_image`; a failed build's
+/// diagnostics are printed.
+fn build(
+    transport: &mut Transport,
+    session: &str,
+    want_image: bool,
+    format: ErrorFormat,
+) -> Result<(BuildOutcome, Option<String>), ExitCode> {
+    let req = Request::Build { session: session.to_string(), want_image };
+    match expect_ok(transport.call(&req)?, format)? {
+        Response::Built { outcome, image } => Ok((outcome, image)),
+        other => Err(unexpected("build", &other)),
     }
 }
 
@@ -403,25 +428,61 @@ fn load_profile(path: &Path) -> Result<Profile, ExitCode> {
     })
 }
 
-/// Recursively load `.c`/`.h` files under `dir` into `tree` (keyed by path
-/// relative to `base`), recording each file's on-disk path for `--watch`.
-fn load_sources(
-    tree: &mut SourceTree,
-    base: &Path,
-    dir: &Path,
-    watched: &mut Vec<(PathBuf, String)>,
-) -> std::io::Result<()> {
+/// Recursively load `.c`/`.h` files under `dir` into `tree`, keyed by path
+/// relative to `base`.
+fn load_sources(tree: &mut SourceTree, base: &Path, dir: &Path) -> std::io::Result<()> {
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let path = entry.path();
         if path.is_dir() {
-            load_sources(tree, base, &path, watched)?;
+            load_sources(tree, base, &path)?;
         } else if matches!(path.extension().and_then(|e| e.to_str()), Some("c" | "h")) {
             let rel = path.strip_prefix(base).unwrap_or(&path);
             let rel = rel.to_string_lossy().replace('\\', "/");
             let text = std::fs::read_to_string(&path)?;
-            tree.add(rel.clone(), text);
-            watched.push((path, rel));
+            tree.add(rel, text);
+        }
+    }
+    Ok(())
+}
+
+/// Open `session` with the command line's options and feed it the `.unit`
+/// files and every source under the `--src` directories. A fresh session
+/// gets `load_units` (duplicate declarations across files are K0002
+/// errors, as in a one-shot build); an existing server-side session gets
+/// `update_unit` (transactional redefine).
+fn load_session(transport: &mut Transport, session: &str, args: &Args) -> Result<(), ExitCode> {
+    let open = Request::Open { session: session.to_string(), options: args.options.clone() };
+    let created = match expect_ok(transport.call(&open)?, args.error_format)? {
+        Response::Opened { created } => created,
+        other => return Err(unexpected("open", &other)),
+    };
+    for f in &args.unit_files {
+        let text = std::fs::read_to_string(f).map_err(|e| {
+            eprintln!("knitc: cannot read {}: {e}", f.display());
+            ExitCode::FAILURE
+        })?;
+        let (session, file) = (session.to_string(), f.to_string_lossy().into_owned());
+        let req = if created {
+            Request::LoadUnits { session, file, text }
+        } else {
+            Request::UpdateUnit { session, file, text }
+        };
+        expect_ok(transport.call(&req)?, args.error_format)?;
+    }
+    for dir in &args.src_dirs {
+        let mut tree = SourceTree::new();
+        load_sources(&mut tree, dir, dir).map_err(|e| {
+            eprintln!("knitc: reading sources under {}: {e}", dir.display());
+            ExitCode::FAILURE
+        })?;
+        for (path, text) in tree.iter() {
+            let req = Request::UpdateSource {
+                session: session.to_string(),
+                path: path.to_string(),
+                text: text.to_string(),
+            };
+            expect_ok(transport.call(&req)?, args.error_format)?;
         }
     }
     Ok(())
@@ -467,36 +528,25 @@ fn explain_cmd(code: &str) -> ExitCode {
 
 /// `knitc lint`: request the analyzer's diagnostics, print them, and fail
 /// on error-severity findings.
-fn lint_cmd(transport: &mut Transport, session: &str, args: &Args) -> ExitCode {
-    let req = Request::Lint {
-        session: session.to_string(),
-        config: LintOptions {
-            overrides: args.lint_overrides.clone(),
-            deny_warnings: args.deny_warnings,
-        },
-    };
-    let resp = match transport.call(&req) {
-        Ok(r) => r,
-        Err(code) => return code,
-    };
-    let (units_analyzed, warnings, errors, diagnostics) = match resp {
-        Response::Linted { units_analyzed, warnings, errors, diagnostics } => {
-            (units_analyzed, warnings, errors, diagnostics)
-        }
-        Response::Error { diagnostics } => {
-            print_diags(&diagnostics, args.error_format);
-            return ExitCode::FAILURE;
-        }
-        other => {
-            eprintln!("knitc: internal error: unexpected lint response {other:?}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn lint_cmd(
+    transport: &mut Transport,
+    session: &str,
+    args: &Args,
+    config: &LintOptions,
+) -> Result<ExitCode, ExitCode> {
+    let req = Request::Lint { session: session.to_string(), config: config.clone() };
+    let (units_analyzed, warnings, errors, diagnostics) =
+        match expect_ok(transport.call(&req)?, args.error_format)? {
+            Response::Linted { units_analyzed, warnings, errors, diagnostics } => {
+                (units_analyzed, warnings, errors, diagnostics)
+            }
+            other => return Err(unexpected("lint", &other)),
+        };
     print_diags(&diagnostics, args.error_format);
     if args.error_format == ErrorFormat::Human {
         println!(
             "knitc: lint `{}`: {} units analyzed, {} warning{}, {} error{}",
-            args.root.as_deref().expect("validated"),
+            args.options.root,
             units_analyzed,
             warnings,
             if warnings == 1 { "" } else { "s" },
@@ -504,63 +554,28 @@ fn lint_cmd(transport: &mut Transport, session: &str, args: &Args) -> ExitCode {
             if errors == 1 { "" } else { "s" },
         );
     }
-    if errors > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    Ok(if errors > 0 { ExitCode::FAILURE } else { ExitCode::SUCCESS })
 }
 
 /// `knitc pgo-suggest`: build, obtain a profile (from `--profile-use` or by
 /// running the image instrumented), and print the flatten advisor's report.
-fn pgo_suggest_cmd(transport: &mut Transport, session: &str, args: &Args) -> ExitCode {
-    let need_run = args.profile_use.is_none();
-    let resp = match transport
-        .call(&Request::Build { session: session.to_string(), want_image: need_run })
-    {
-        Ok(r) => r,
-        Err(code) => return code,
-    };
-    let image = match expect_ok(resp, args.error_format) {
-        Ok(Response::Built { image, .. }) => image,
-        Ok(other) => {
-            eprintln!("knitc: internal error: unexpected build response {other:?}");
-            return ExitCode::FAILURE;
-        }
-        Err(code) => return code,
-    };
+fn pgo_suggest_cmd(
+    transport: &mut Transport,
+    session: &str,
+    args: &Args,
+) -> Result<ExitCode, ExitCode> {
+    let (_, image) = build(transport, session, args.profile_use.is_none(), args.error_format)?;
     let profile = match &args.profile_use {
-        Some(path) => match load_profile(path) {
-            Ok(p) => p,
-            Err(code) => return code,
-        },
-        None => {
-            let image = match expect_image(image) {
-                Ok(i) => i,
-                Err(code) => return code,
-            };
-            match run_image(&image, true) {
-                Ok((_, p)) => p.expect("profiling was requested"),
-                Err(code) => return code,
-            }
-        }
+        Some(path) => load_profile(path)?,
+        None => run_image(&expect_image(image)?, true)?.1.expect("profiling was requested"),
     };
-    let resp = match transport
-        .call(&Request::PgoSuggest { session: session.to_string(), profile: profile.to_json() })
-    {
-        Ok(r) => r,
-        Err(code) => return code,
-    };
-    match expect_ok(resp, args.error_format) {
-        Ok(Response::Suggested { text }) => {
+    let req = Request::PgoSuggest { session: session.to_string(), profile: profile.to_json() };
+    match expect_ok(transport.call(&req)?, args.error_format)? {
+        Response::Suggested { text } => {
             print!("{text}");
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
-        Ok(other) => {
-            eprintln!("knitc: internal error: unexpected pgo response {other:?}");
-            ExitCode::FAILURE
-        }
-        Err(code) => code,
+        other => Err(unexpected("pgo", &other)),
     }
 }
 
@@ -657,18 +672,15 @@ fn watch_loop(
     session: &str,
     args: &Args,
     initial_watched: &[String],
-) -> ExitCode {
+) -> Result<ExitCode, ExitCode> {
     const POLL: Duration = Duration::from_millis(300);
     const DEBOUNCE: Duration = Duration::from_millis(50);
-    let root = args.root.clone().expect("validated");
+    let root = &args.options.root;
     let mut entries = watch_set(args, initial_watched);
     eprintln!("knitc: watching {} files for `{}` (Ctrl-C to stop)", entries.len(), root);
     loop {
         std::thread::sleep(POLL);
-        let mut changed = match scan_edits(transport, session, args, &mut entries) {
-            Ok(c) => c,
-            Err(code) => return code,
-        };
+        let mut changed = scan_edits(transport, session, args, &mut entries)?;
         if !changed {
             continue;
         }
@@ -676,33 +688,20 @@ fn watch_loop(
         // once for the whole batch.
         while changed {
             std::thread::sleep(DEBOUNCE);
-            changed = match scan_edits(transport, session, args, &mut entries) {
-                Ok(c) => c,
-                Err(code) => return code,
-            };
+            changed = scan_edits(transport, session, args, &mut entries)?;
         }
-        let resp = match transport
-            .call(&Request::Build { session: session.to_string(), want_image: args.run })
-        {
-            Ok(r) => r,
-            Err(code) => return code,
-        };
-        match resp {
+        let req = Request::Build { session: session.to_string(), want_image: args.run };
+        match transport.call(&req)? {
             Response::Built { outcome, image } => {
                 println!(
                     "knitc: rebuilt `{}`: {} recompiled, {} reused, {} bytes of text",
                     root, outcome.units_compiled, outcome.units_reused, outcome.text_size
                 );
                 if args.verbose {
-                    print_report(&root, &outcome, true, args.timings);
+                    print_report(root, &outcome, true, args.timings);
                 }
                 if args.run {
-                    match expect_image(image) {
-                        Ok(image) => {
-                            let _ = run_image(&image, false);
-                        }
-                        Err(code) => return code,
-                    }
+                    let _ = run_image(&expect_image(image)?, false);
                 }
                 // Re-derive the watch set from this build's ledger: new
                 // includes start being polled, dropped ones stop.
@@ -710,7 +709,7 @@ fn watch_loop(
             }
             Response::Error { diagnostics } => print_diags(&diagnostics, args.error_format),
             other => {
-                eprintln!("knitc: internal error: unexpected build response {other:?}");
+                unexpected("build", &other);
             }
         }
     }
@@ -904,163 +903,42 @@ fn main() -> ExitCode {
     if argv.first().map(String::as_str) == Some("serve") {
         return serve_cmd(&argv[1..]);
     }
-    let args = parse_args(argv);
-    let root = args.root.clone().expect("validated");
-    let session = args.session.clone().unwrap_or_else(|| root.clone());
+    match run(parse_args(argv)) {
+        Ok(code) | Err(code) => code,
+    }
+}
 
-    // Reduce the command line to session options. The layout profile is
-    // validated client-side (for the conventional error message) and
-    // shipped as its canonical JSON.
-    let mut options = SessionOptions::new(root.clone());
-    options.entry = args.entry.clone();
-    options.flatten = args.flatten;
-    options.check_constraints = args.check;
-    options.jobs = args.jobs;
-    if !args.pgo_suggest {
+/// Load the session a build, lint or pgo-suggest command line describes,
+/// then run the command.
+fn run(mut args: Args) -> Result<ExitCode, ExitCode> {
+    let session = args.session.clone().unwrap_or_else(|| args.options.root.clone());
+    // The layout profile is validated client-side (for the conventional
+    // error message) and shipped as its canonical JSON.
+    if !matches!(args.command, Command::PgoSuggest) {
         if let Some(path) = &args.profile_use {
-            match load_profile(path) {
-                Ok(p) => options.profile = Some(p.to_json()),
-                Err(code) => return code,
-            }
+            args.options.profile = Some(load_profile(path)?.to_json());
         }
     }
-
-    let mut transport = match Transport::open(&args) {
-        Ok(t) => t,
-        Err(code) => return code,
-    };
-
-    // Open (or reconfigure) the session, then feed it the .unit files and
-    // sources. A fresh session gets `load_units` (duplicate declarations
-    // across files are K0002 errors, as in a one-shot build); an existing
-    // server-side session gets `update_unit` (transactional redefine).
-    let created = match transport
-        .call(&Request::Open { session: session.clone(), options: options.clone() })
-        .and_then(|r| expect_ok(r, args.error_format))
-    {
-        Ok(Response::Opened { created }) => created,
-        Ok(other) => {
-            eprintln!("knitc: internal error: unexpected open response {other:?}");
-            return ExitCode::FAILURE;
-        }
-        Err(code) => return code,
-    };
-    for f in &args.unit_files {
-        let text = match std::fs::read_to_string(f) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("knitc: cannot read {}: {e}", f.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let file = f.to_string_lossy().into_owned();
-        let req = if created {
-            Request::LoadUnits { session: session.clone(), file, text }
-        } else {
-            Request::UpdateUnit { session: session.clone(), file, text }
-        };
-        match transport.call(&req).and_then(|r| expect_ok(r, args.error_format)) {
-            Ok(_) => {}
-            Err(code) => return code,
-        }
-    }
-    for dir in &args.src_dirs {
-        let mut tree = SourceTree::new();
-        if let Err(e) = load_sources(&mut tree, dir, dir, &mut Vec::new()) {
-            eprintln!("knitc: reading sources under {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
-        for (path, text) in tree.iter() {
-            let req = Request::UpdateSource {
-                session: session.clone(),
-                path: path.to_string(),
-                text: text.to_string(),
-            };
-            match transport.call(&req).and_then(|r| expect_ok(r, args.error_format)) {
-                Ok(_) => {}
-                Err(code) => return code,
-            }
-        }
-    }
-
-    if args.lint {
-        return lint_cmd(&mut transport, &session, &args);
-    }
-    if args.pgo_suggest {
-        return pgo_suggest_cmd(&mut transport, &session, &args);
+    let mut transport = Transport::open(&args)?;
+    load_session(&mut transport, &session, &args)?;
+    match &args.command {
+        Command::Build => {}
+        Command::Lint(config) => return lint_cmd(&mut transport, &session, &args, config),
+        Command::PgoSuggest => return pgo_suggest_cmd(&mut transport, &session, &args),
     }
 
     // The build itself. The image rides back over the wire only when
     // something client-side needs its bytes.
     let want_image = args.run || args.profile_gen.is_some();
-    let (cold, cold_image) = match transport
-        .call(&Request::Build { session: session.clone(), want_image })
-        .and_then(|r| expect_ok(r, args.error_format))
-    {
-        Ok(Response::Built { outcome, image }) => (outcome, image),
-        Ok(other) => {
-            eprintln!("knitc: internal error: unexpected build response {other:?}");
-            return ExitCode::FAILURE;
-        }
-        Err(code) => return code,
-    };
-
+    let (cold, cold_image) = build(&mut transport, &session, want_image, args.error_format)?;
     let outcome = if args.cache {
         // Rebuild in a *second* session sharing the server's compile
         // cache: every unit whose content is unchanged (here: all of
         // them) is served from the cache, deduped across sessions —
         // the same mechanism that dedupes across concurrent clients.
         let warm_session = format!("{session}#warm");
-        let ok = transport
-            .call(&Request::Open { session: warm_session.clone(), options: options.clone() })
-            .and_then(|r| expect_ok(r, args.error_format))
-            .and_then(|_| {
-                for f in &args.unit_files {
-                    let text = std::fs::read_to_string(f).map_err(|e| {
-                        eprintln!("knitc: cannot read {}: {e}", f.display());
-                        ExitCode::FAILURE
-                    })?;
-                    let r = transport.call(&Request::UpdateUnit {
-                        session: warm_session.clone(),
-                        file: f.to_string_lossy().into_owned(),
-                        text,
-                    })?;
-                    expect_ok(r, args.error_format)?;
-                }
-                Ok(())
-            });
-        if let Err(code) = ok {
-            return code;
-        }
-        for dir in &args.src_dirs {
-            let mut tree = SourceTree::new();
-            let mut ignored = Vec::new();
-            if load_sources(&mut tree, dir, dir, &mut ignored).is_err() {
-                continue;
-            }
-            for (path, text) in tree.iter() {
-                let r = transport.call(&Request::UpdateSource {
-                    session: warm_session.clone(),
-                    path: path.to_string(),
-                    text: text.to_string(),
-                });
-                match r.and_then(|r| expect_ok(r, args.error_format)) {
-                    Ok(_) => {}
-                    Err(code) => return code,
-                }
-            }
-        }
-        let warm = match transport
-            .call(&Request::Build { session: warm_session.clone(), want_image: false })
-            .and_then(|r| expect_ok(r, args.error_format))
-        {
-            Ok(Response::Built { outcome, .. }) => outcome,
-            Ok(other) => {
-                eprintln!("knitc: internal error: unexpected build response {other:?}");
-                return ExitCode::FAILURE;
-            }
-            Err(code) => return code,
-        };
+        load_session(&mut transport, &warm_session, &args)?;
+        let (warm, _) = build(&mut transport, &warm_session, false, args.error_format)?;
         let _ = transport.call(&Request::Close { session: warm_session });
         let compile_ms = |o: &BuildOutcome| {
             o.phases
@@ -1078,56 +956,36 @@ fn main() -> ExitCode {
         );
         if warm.image_hash != cold.image_hash {
             eprintln!("knitc: internal error: warm rebuild produced a different image");
-            return ExitCode::FAILURE;
+            return Err(ExitCode::FAILURE);
         }
         warm
     } else {
         cold
     };
 
-    print_report(&root, &outcome, args.verbose, args.timings);
+    print_report(&args.options.root, &outcome, args.verbose, args.timings);
 
-    if let Some(path) = &args.profile_gen {
-        let image = match expect_image(cold_image) {
-            Ok(i) => i,
-            Err(code) => return code,
-        };
-        match run_image(&image, true) {
-            Ok((code, profile)) => {
-                let profile = profile.expect("profiling was requested");
-                if let Err(e) = std::fs::write(path, profile.to_json()) {
-                    eprintln!("knitc: cannot write profile {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-                println!(
-                    "knitc: wrote profile to {} ({} edges, {} calls)",
-                    path.display(),
-                    profile.edges.len(),
-                    profile.total_calls()
-                );
-                if code != 0 {
-                    return ExitCode::from((code & 0xff) as u8);
-                }
-            }
-            Err(code) => return code,
+    if want_image {
+        let (code, profile) = run_image(&expect_image(cold_image)?, args.profile_gen.is_some())?;
+        if let (Some(path), Some(profile)) = (&args.profile_gen, profile) {
+            std::fs::write(path, profile.to_json()).map_err(|e| {
+                eprintln!("knitc: cannot write profile {}: {e}", path.display());
+                ExitCode::FAILURE
+            })?;
+            println!(
+                "knitc: wrote profile to {} ({} edges, {} calls)",
+                path.display(),
+                profile.edges.len(),
+                profile.total_calls()
+            );
         }
-    } else if args.run {
-        let image = match expect_image(cold_image) {
-            Ok(i) => i,
-            Err(code) => return code,
-        };
-        match run_image(&image, false) {
-            Ok((code, _)) => {
-                if code != 0 {
-                    return ExitCode::from((code & 0xff) as u8);
-                }
-            }
-            Err(code) => return code,
+        if code != 0 {
+            return Ok(ExitCode::from((code & 0xff) as u8));
         }
     }
 
     if args.watch {
         return watch_loop(&mut transport, &session, &args, &outcome.watched);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

@@ -4,10 +4,9 @@
 //! that >95% of a Knit build is spent in the C compiler and linker. The
 //! harnesses in this repository — `table1`, `table2`, `build_time`,
 //! `micro_overhead`, repeated `knitc` invocations — rebuild heavily
-//! overlapping unit sets, so [`BuildCache`] lets every build path —
-//! [`BuildSession`](crate::session::BuildSession), the composition
-//! server's [`Engine`](crate::server::Engine), and the deprecated one-shot
-//! [`build_with_cache`](crate::driver::build_with_cache) — skip `cmini`
+//! overlapping unit sets, so [`BuildCache`] lets every
+//! [`BuildSession`](crate::session::BuildSession) — and through them the
+//! composition server's [`Engine`](crate::server::Engine) — skip `cmini`
 //! entirely for any unit whose *content* was compiled before.
 //!
 //! A cache key is a stable 64-bit FNV-1a hash of everything that can affect

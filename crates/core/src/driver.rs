@@ -291,62 +291,22 @@ fn push_index(s: &mut String, inst: usize) {
 }
 
 /// Build `opts.root` from `program` and `tree` into a runnable image,
-/// with a cold (single-use) compile cache.
+/// with a cold (single-use) compile cache. For rebuilds, or to share a
+/// cache, use a [`BuildSession`](crate::BuildSession).
 pub fn build(
     program: &Program,
     tree: &SourceTree,
     opts: &BuildOptions,
 ) -> Result<BuildReport, KnitError> {
-    // One-shot by design: a cold cache every time is the point here, so
-    // the deprecated shared-cache path is the right implementation.
-    #[allow(deprecated)]
-    build_with_cache(program, tree, opts, &BuildCache::new())
-}
-
-/// Build `opts.root`, compiling through `cache`: units whose content
-/// (preprocessed sources + flags + renames, see [`BuildCache`]) is already
-/// cached skip `cmini` entirely. Reuse one cache across builds to make
-/// rebuilds warm.
-///
-/// # Migration
-///
-/// Deprecated in favour of [`SessionHandle`](crate::SessionHandle), the
-/// thread-safe session facade that also backs the composition server
-/// ([`Server::open_session`](crate::server::Server)). A session keeps the
-/// dependency ledger and per-phase memo between builds, so a rebuild after
-/// a small edit redoes only the affected phases — this function re-runs
-/// everything except the compile cache. Port code like this:
-///
-/// ```
-/// use knit::{BuildOptions, SessionHandle};
-///
-/// let handle = SessionHandle::new(BuildOptions::root("App").jobs(1).build());
-/// handle.load_units("app.unit", r#"
-///     bundletype Main = { main }
-///     unit App = { exports [ main : Main ]; files { "app.c" }; }
-/// "#).unwrap();
-/// handle.update_source("app.c", "int main() { return 7; }");
-/// let cold = handle.build().unwrap();
-/// let warm = handle.build().unwrap(); // full reuse, no work
-/// assert_eq!(cold.image, warm.image);
-/// ```
-///
-/// To share a compile cache across sessions (what the `cache` argument
-/// gave you), open sessions from one [`Engine`](crate::server::Engine).
-#[deprecated(
-    since = "0.2.0",
-    note = "use `SessionHandle` (or `Engine::open_session`) — sessions keep \
-            the dependency ledger between builds and are thread-safe"
-)]
-pub fn build_with_cache(
-    program: &Program,
-    tree: &SourceTree,
-    opts: &BuildOptions,
-    cache: &BuildCache,
-) -> Result<BuildReport, KnitError> {
-    let mut memo = crate::session::Memo::default();
-    let mut stats = crate::session::SessionStats::default();
-    crate::session::run_build(program, tree, opts, cache, &mut memo, &mut stats, &BTreeSet::new())
+    crate::session::run_build(
+        program,
+        tree,
+        opts,
+        &BuildCache::new(),
+        &mut crate::session::Memo::default(),
+        &mut crate::session::SessionStats::default(),
+        &BTreeSet::new(),
+    )
 }
 
 /// Run `task(0..n)` on up to `jobs` scoped worker threads and return the
@@ -413,21 +373,76 @@ pub struct CompiledUnit {
     pub(crate) undefined: BTreeSet<String>,
 }
 
-/// One resolved `files { … }` entry, preprocessed and ready to hash or
-/// compile.
-enum FileInput {
+/// One resolved `files { … }` entry, ready to hash, compile or parse.
+pub(crate) enum FileInput<'a> {
     /// A registered pre-compiled object (used as-is).
-    Object(ObjectFile),
+    Object(&'a ObjectFile),
     /// A C source, already preprocessed (so the hash sees through
     /// `#include`, and a cache miss does not preprocess twice).
-    Source { file: String, expanded: String },
+    Source { file: &'a str, expanded: String },
+}
+
+/// A unit's front end: its effective flags, the compile options they
+/// parse to, every `files` entry resolved in order, and every source-tree
+/// path consulted on the way (hits and misses — a header that did not
+/// exist yet must still invalidate the unit when it appears).
+pub(crate) struct UnitInputs<'a> {
+    pub(crate) flags: &'a [String],
+    pub(crate) copts: CompileOptions,
+    pub(crate) files: Vec<FileInput<'a>>,
+    pub(crate) reads: BTreeSet<String>,
+}
+
+/// The compiler flags of a unit: its `flags` declaration's, else
+/// [`BuildOptions::default_flags`].
+pub(crate) fn unit_flags<'a>(
+    program: &'a Program,
+    body: &AtomicBody,
+    opts: &'a BuildOptions,
+) -> &'a [String] {
+    match &body.flags {
+        Some(name) => &program.flags[name],
+        None => &opts.default_flags,
+    }
+}
+
+/// Read `unit_name`'s front end, the one path both compiling and linting
+/// take: parse its flags, then resolve each `files` entry to a registered
+/// object or a preprocessed source. Fails on a bad flag, then on the first
+/// file that is missing or does not preprocess.
+pub(crate) fn read_unit<'a>(
+    program: &'a Program,
+    tree: &'a SourceTree,
+    unit_name: &str,
+    opts: &'a BuildOptions,
+) -> Result<UnitInputs<'a>, KnitError> {
+    let body = atomic_body(&program.units[unit_name]);
+    let flags = unit_flags(program, body, opts);
+    let copts = CompileOptions::from_flags(flags)
+        .map_err(|e| KnitError::BadDeclaration { unit: unit_name.to_string(), what: e })?;
+    let recorder = RecordingTree::new(tree);
+    let mut files = Vec::with_capacity(body.files.len());
+    for file in &body.files {
+        recorder.note(file);
+        // pre-compiled objects: "Knit can actually work with C, assembly,
+        // and object code" (§3.2); registered objects are used as-is
+        if let Some(obj) = tree.get_object(file) {
+            files.push(FileInput::Object(obj));
+            continue;
+        }
+        let src = tree.get(file).ok_or_else(|| KnitError::MissingSource {
+            unit: unit_name.to_string(),
+            path: file.clone(),
+        })?;
+        let expanded = cmini::pp::preprocess(file, src, &copts.pp, &recorder)?;
+        files.push(FileInput::Source { file, expanded });
+    }
+    Ok(UnitInputs { flags, copts, files, reads: recorder.reads.into_inner() })
 }
 
 /// The result of pushing one unit through [`compile_unit_cached`]: the
 /// shared compiled artifact, its content-hash cache key, whether the cache
-/// supplied it, and every source-tree path the compile consulted. Misses
-/// are recorded too — a header that did not exist yet must still
-/// invalidate the unit when it appears.
+/// supplied it, and every source-tree path the compile consulted.
 pub(crate) struct UnitBuild {
     /// The compiled unit (possibly shared with the cache and other memos).
     pub(crate) cu: Arc<CompiledUnit>,
@@ -442,17 +457,17 @@ pub(crate) struct UnitBuild {
 }
 
 /// A [`SourceTree`] view that records every path consulted, hit or miss.
-pub(crate) struct RecordingTree<'a> {
-    pub(crate) tree: &'a SourceTree,
-    pub(crate) reads: RefCell<BTreeSet<String>>,
+struct RecordingTree<'a> {
+    tree: &'a SourceTree,
+    reads: RefCell<BTreeSet<String>>,
 }
 
 impl<'a> RecordingTree<'a> {
-    pub(crate) fn new(tree: &'a SourceTree) -> RecordingTree<'a> {
+    fn new(tree: &'a SourceTree) -> RecordingTree<'a> {
         RecordingTree { tree, reads: RefCell::new(BTreeSet::new()) }
     }
 
-    pub(crate) fn note(&self, path: &str) {
+    fn note(&self, path: &str) {
         self.reads.borrow_mut().insert(path.to_string());
     }
 }
@@ -480,19 +495,10 @@ pub(crate) fn compile_unit_cached(
     opts: &BuildOptions,
     cache: &BuildCache,
 ) -> Result<UnitBuild, KnitError> {
-    let unit = &program.units[unit_name];
-    let body = atomic_body(unit);
-    let flags: Vec<String> = match &body.flags {
-        Some(name) => program.flags[name].clone(),
-        None => opts.default_flags.clone(),
-    };
-    let copts = CompileOptions::from_flags(&flags)
-        .map_err(|e| KnitError::BadDeclaration { unit: unit_name.to_string(), what: e })?;
-
-    // --- resolve + preprocess every file, hashing as we go ---
-    let recorder = RecordingTree::new(tree);
+    let body = atomic_body(&program.units[unit_name]);
+    let inputs = read_unit(program, tree, unit_name, opts)?;
     let mut h = StableHasher::new();
-    for f in &flags {
+    for f in inputs.flags {
         h.write_str("flag");
         h.write_str(f);
     }
@@ -502,30 +508,23 @@ pub(crate) fn compile_unit_cached(
         h.write_str(&r.member);
         h.write_str(&r.to);
     }
-    let mut inputs: Vec<FileInput> = Vec::with_capacity(body.files.len());
-    for file in &body.files {
-        recorder.note(file);
-        // pre-compiled objects: "Knit can actually work with C, assembly,
-        // and object code" (§3.2); registered objects are used as-is
-        if let Some(obj) = tree.get_object(file) {
-            h.write_str("obj");
-            h.write_str(&format!("{obj:?}"));
-            inputs.push(FileInput::Object(obj.clone()));
-            continue;
+    for input in &inputs.files {
+        match input {
+            FileInput::Object(obj) => {
+                h.write_str("obj");
+                h.write_str(&format!("{obj:?}"));
+            }
+            FileInput::Source { file, expanded } => {
+                h.write_str("src");
+                h.write_str(file);
+                h.write_str(expanded);
+            }
         }
-        let src = tree.get(file).ok_or_else(|| KnitError::MissingSource {
-            unit: unit_name.to_string(),
-            path: file.clone(),
-        })?;
-        let expanded = cmini::pp::preprocess(file, src, &copts.pp, &recorder)?;
-        h.write_str("src");
-        h.write_str(file);
-        h.write_str(&expanded);
-        inputs.push(FileInput::Source { file: file.clone(), expanded });
     }
     let key = h.finish();
+    let reads = inputs.reads;
     if let Some(cu) = cache.lookup(key) {
-        return Ok(UnitBuild { cu, key, cache_hit: true, reads: recorder.reads.into_inner() });
+        return Ok(UnitBuild { cu, key, cache_hit: true, reads });
     }
 
     // --- miss: run the compiler over the preprocessed inputs ---
@@ -533,32 +532,31 @@ pub(crate) fn compile_unit_cached(
     let mut objects = Vec::new();
     let mut defined = BTreeSet::new();
     let mut undefined = BTreeSet::new();
-    for input in inputs {
-        match input {
+    for input in inputs.files {
+        let obj = match input {
             FileInput::Object(obj) => {
                 obj.validate().map_err(|e| KnitError::BadDeclaration {
                     unit: unit_name.to_string(),
                     what: format!("pre-compiled object `{}` is invalid: {e}", obj.name),
                 })?;
-                defined.extend(obj.exported_names().iter().map(|s| s.to_string()));
-                undefined.extend(obj.undefined_names().iter().map(|s| s.to_string()));
-                objects.push(obj);
+                obj.clone()
             }
             FileInput::Source { file, expanded } => {
-                let tu = cmini::frontend_expanded(&file, &expanded)?;
-                let obj = cmini::backend(tu.clone(), &copts)?;
-                defined.extend(obj.exported_names().iter().map(|s| s.to_string()));
-                undefined.extend(obj.undefined_names().iter().map(|s| s.to_string()));
+                let tu = cmini::frontend_expanded(file, &expanded)?;
+                let obj = cmini::backend(tu.clone(), &inputs.copts)?;
                 tus.push(tu);
-                objects.push(obj);
+                obj
             }
-        }
+        };
+        defined.extend(obj.exported_names().iter().map(|s| s.to_string()));
+        undefined.extend(obj.undefined_names().iter().map(|s| s.to_string()));
+        objects.push(obj);
     }
     // cross-file references inside the unit are not "undefined"
     undefined.retain(|n| !defined.contains(n));
     let cu = Arc::new(CompiledUnit { tus, objects, defined, undefined });
     cache.insert(key, Arc::clone(&cu));
-    Ok(UnitBuild { cu, key, cache_hit: false, reads: recorder.reads.into_inner() })
+    Ok(UnitBuild { cu, key, cache_hit: false, reads })
 }
 
 pub(crate) fn atomic_body(unit: &UnitDecl) -> &AtomicBody {

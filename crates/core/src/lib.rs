@@ -61,8 +61,6 @@ pub mod vfs;
 pub use analyze::{lint, lint_by_name, AnalysisReport, Lint, LintConfig, LintLevel, LINTS};
 pub use cache::BuildCache;
 pub use diag::{Diagnostic, Severity};
-#[allow(deprecated)]
-pub use driver::build_with_cache;
 pub use driver::{
     build, default_jobs, BuildOptions, BuildOptionsBuilder, BuildReport, BuildStats, UnitCompile,
 };
@@ -94,8 +92,6 @@ pub mod prelude {
     pub use crate::analyze::{lint, AnalysisReport, LintConfig, LintLevel};
     pub use crate::cache::BuildCache;
     pub use crate::diag::{Diagnostic, Severity};
-    #[allow(deprecated)]
-    pub use crate::driver::build_with_cache;
     pub use crate::driver::{build, BuildOptions, BuildOptionsBuilder, BuildReport, BuildStats};
     pub use crate::error::KnitError;
     pub use crate::model::Program;

@@ -582,9 +582,12 @@ impl Server {
     /// join every worker (letting in-flight requests complete and answer),
     /// and clean up the socket.
     pub fn run(self) -> io::Result<()> {
-        let streams: Arc<Mutex<Vec<Stream>>> = Arc::new(Mutex::new(Vec::new()));
+        // Live connections by id. A worker drops its own entry when its
+        // connection ends, so a closed connection holds no descriptor, and
+        // finished workers' handles are dropped at the next accept.
+        let live: Arc<Mutex<BTreeMap<u64, Stream>>> = Arc::default();
         let mut workers: Vec<JoinHandle<()>> = Vec::new();
-        loop {
+        for id in 0u64.. {
             let stream = match self.listener.accept() {
                 Ok(s) => s,
                 Err(e) => {
@@ -597,16 +600,21 @@ impl Server {
             if self.engine.is_shutdown() {
                 break; // the shutdown wake-up connection
             }
+            workers.retain(|w| !w.is_finished());
             if let Ok(track) = stream.try_clone() {
-                streams.lock().unwrap_or_else(|e| e.into_inner()).push(track);
+                live.lock().unwrap_or_else(|e| e.into_inner()).insert(id, track);
             }
             let engine = self.engine.clone();
             let addr = self.addr.clone();
-            workers.push(std::thread::spawn(move || serve_connection(engine, addr, stream)));
+            let live = Arc::clone(&live);
+            workers.push(std::thread::spawn(move || {
+                serve_connection(engine, addr, stream);
+                live.lock().unwrap_or_else(|e| e.into_inner()).remove(&id);
+            }));
         }
         // Drain: unblock idle readers (writes still flow, so workers
         // mid-request finish and respond), then wait for every worker.
-        for s in streams.lock().unwrap_or_else(|e| e.into_inner()).iter() {
+        for s in live.lock().unwrap_or_else(|e| e.into_inner()).values() {
             let _ = s.shutdown(NetShutdown::Read);
         }
         for w in workers {
@@ -661,8 +669,9 @@ pub const MAX_REQUEST_LINE: usize = 8 << 20;
 
 /// One connection's request loop: handshake, then requests in order, with
 /// `watch` attaching an event-pusher thread that shares the write side. A
-/// line longer than [`MAX_REQUEST_LINE`] is answered with `K0017` and
-/// closes the connection.
+/// line that is not UTF-8 or not a request is answered with `K0017` and
+/// the connection keeps serving; a line longer than [`MAX_REQUEST_LINE`]
+/// is answered with `K0017` and closes the connection.
 fn serve_connection(engine: Engine, addr: String, stream: Stream) {
     let reader = match stream.try_clone() {
         Ok(s) => BufReader::new(s),
@@ -684,21 +693,20 @@ fn serve_connection(engine: Engine, addr: String, stream: Stream) {
             let _ = writer.lock().unwrap_or_else(|e| e.into_inner()).shutdown(NetShutdown::Both);
             break;
         }
-        let Ok(text) = std::str::from_utf8(&line) else { break };
-        let text = text.trim_end_matches(['\r', '\n']);
-        if text.is_empty() {
+        let text = match std::str::from_utf8(&line) {
+            Ok(text) => Ok(text.trim_end_matches(['\r', '\n'])),
+            Err(_) => Err("request line is not UTF-8".to_string()),
+        };
+        if text == Ok("") {
             continue;
         }
         let mut stop = false;
-        let resp = match Request::from_json(text) {
+        let resp = match text.and_then(Request::from_json) {
             Err(e) => Response::malformed(e),
-            Ok(Request::Hello { version }) => {
-                if version == VERSION {
-                    hello_done = true;
-                    Response::Hello { version: VERSION }
-                } else {
-                    Response::version_mismatch(version)
-                }
+            Ok(req @ Request::Hello { .. }) => {
+                let resp = engine.handle(&req);
+                hello_done |= matches!(resp, Response::Hello { .. });
+                resp
             }
             Ok(_) if !hello_done => Response::malformed("connection must open with `hello`"),
             Ok(Request::Watch { session }) => match engine.subscribe(&session) {

@@ -41,7 +41,7 @@ use crate::cache::{BuildCache, StableHasher};
 use crate::constraints::{self, ConstraintReport};
 use crate::driver::{
     atomic_body, boot_object, compile_unit_cached, flatten_opts, group_externals, rename_plan,
-    root_exports_map, run_indexed, BuildOptions, BuildReport, BuildStats, CompiledUnit,
+    root_exports_map, run_indexed, unit_flags, BuildOptions, BuildReport, BuildStats, CompiledUnit,
     InstanceSyms, RenamePlan, UnitCompile,
 };
 use crate::elaborate::{elaborate, Elaboration};
@@ -374,11 +374,7 @@ pub(crate) fn fp_unit_decl(program: &Program, unit_name: &str, opts: &BuildOptio
         h.write_str("file");
         h.write_str(f);
     }
-    let flags: &[String] = match &body.flags {
-        Some(name) => &program.flags[name],
-        None => &opts.default_flags,
-    };
-    for f in flags {
+    for f in unit_flags(program, body, opts) {
         h.write_str("flag");
         h.write_str(f);
     }
@@ -459,11 +455,57 @@ impl UnitMemo {
     }
 }
 
+impl Memo {
+    /// The elaboration of `root` and its fingerprint: the memoized one when
+    /// the fingerprint matches, else a new one, memoized in turn. `count`
+    /// tallies the run or reuse.
+    fn elaboration(
+        &mut self,
+        program: &Program,
+        root: &str,
+        count: &mut PhaseCount,
+    ) -> Result<(u64, Arc<Elaboration>), KnitError> {
+        let fp = fp_elaborate(program, root);
+        if let Some((memo_fp, el)) = &self.elaborate {
+            if *memo_fp == fp {
+                count.reuses += 1;
+                return Ok((fp, Arc::clone(el)));
+            }
+        }
+        count.runs += 1;
+        let el = Arc::new(elaborate(program, root)?);
+        self.elaborate = Some((fp, Arc::clone(&el)));
+        Ok((fp, el))
+    }
+
+    /// The initializer schedule of `el` (fingerprinted `el_fp`) and its
+    /// fingerprint, memoized like [`Memo::elaboration`].
+    fn schedule(
+        &mut self,
+        program: &Program,
+        el: &Elaboration,
+        el_fp: u64,
+        count: &mut PhaseCount,
+    ) -> Result<(u64, Arc<Schedule>), KnitError> {
+        let fp = fp_schedule(program, el, el_fp);
+        if let Some((memo_fp, s)) = &self.schedule {
+            if *memo_fp == fp {
+                count.reuses += 1;
+                return Ok((fp, Arc::clone(s)));
+            }
+        }
+        count.runs += 1;
+        let s = Arc::new(sched::schedule(program, el)?);
+        self.schedule = Some((fp, Arc::clone(&s)));
+        Ok((fp, s))
+    }
+}
+
 /// Run the eight-phase pipeline over `memo`, rerunning exactly the phases
 /// whose fingerprints changed (and, for compiles, the units whose ledger
-/// intersects `dirty`). With a fresh [`Memo`] this is precisely the old
-/// monolithic `build_with_cache`; a [`BuildSession`] passes its persistent
-/// memo to make rebuilds incremental.
+/// intersects `dirty`). With a fresh [`Memo`] this is a cold one-shot
+/// build ([`build`](crate::driver::build)); a [`BuildSession`] passes its
+/// persistent memo to make rebuilds incremental.
 pub(crate) fn run_build(
     program: &Program,
     tree: &SourceTree,
@@ -507,19 +549,7 @@ pub(crate) fn run_build(
     }
 
     // --- elaborate ---
-    let el_fp = fp_elaborate(program, &opts.root);
-    let el: Arc<Elaboration> = match &memo.elaborate {
-        Some((fp, el)) if *fp == el_fp => {
-            stats.elaborate.reuses += 1;
-            Arc::clone(el)
-        }
-        _ => {
-            stats.elaborate.runs += 1;
-            let el = Arc::new(elaborate(program, &opts.root)?);
-            memo.elaborate = Some((el_fp, Arc::clone(&el)));
-            el
-        }
-    };
+    let (el_fp, el) = memo.elaboration(program, &opts.root, &mut stats.elaborate)?;
     phase!("elaborate");
 
     // --- constraints ---
@@ -543,19 +573,7 @@ pub(crate) fn run_build(
     phase!("constraints");
 
     // --- schedule ---
-    let s_fp = fp_schedule(program, &el, el_fp);
-    let schedule: Arc<Schedule> = match &memo.schedule {
-        Some((fp, s)) if *fp == s_fp => {
-            stats.schedule.reuses += 1;
-            Arc::clone(s)
-        }
-        _ => {
-            stats.schedule.runs += 1;
-            let s = Arc::new(sched::schedule(program, &el)?);
-            memo.schedule = Some((s_fp, Arc::clone(&s)));
-            s
-        }
-    };
+    let (s_fp, schedule) = memo.schedule(program, &el, el_fp, &mut stats.schedule)?;
     phase!("schedule");
 
     // --- compile each distinct unit once (instances share the result) ---
@@ -1032,8 +1050,7 @@ impl BuildSession {
     }
 
     /// Use `cache` for compiles. [`BuildCache`] clones share storage, so
-    /// sessions (and one-shot `build_with_cache` calls) can warm each
-    /// other through a shared cache.
+    /// sessions can warm each other through a shared cache.
     #[must_use]
     pub fn with_cache(mut self, cache: BuildCache) -> BuildSession {
         self.cache = cache;
@@ -1133,61 +1150,27 @@ impl BuildSession {
         if !dirty.is_empty() {
             self.memo.analysis.retain(|_, m| m.summary.reads.is_disjoint(&dirty));
         }
-        let restore = |s: &mut Self, dirty: BTreeSet<String>, e: KnitError| {
+        let (program, memo, stats) = (&self.program, &mut self.memo, &mut self.stats);
+        let result = (|| {
+            let (el_fp, el) = memo.elaboration(program, &self.opts.root, &mut stats.elaborate)?;
+            let (_, schedule) = memo.schedule(program, &el, el_fp, &mut stats.schedule)?;
+            analyze::run_analysis(
+                program,
+                &self.tree,
+                &self.opts,
+                config,
+                &el,
+                &schedule,
+                &mut memo.analysis,
+                &mut stats.analyze,
+            )
+        })();
+        if result.is_err() {
             // keep the paths dirty so a later analyze (or the same one,
             // retried) still re-summarizes everything the edit touched
-            s.analysis_dirty.extend(dirty);
-            Err(e)
-        };
-        let el_fp = fp_elaborate(&self.program, &self.opts.root);
-        let el: Arc<Elaboration> = match &self.memo.elaborate {
-            Some((fp, el)) if *fp == el_fp => {
-                self.stats.elaborate.reuses += 1;
-                Arc::clone(el)
-            }
-            _ => {
-                self.stats.elaborate.runs += 1;
-                match elaborate(&self.program, &self.opts.root) {
-                    Ok(el) => {
-                        let el = Arc::new(el);
-                        self.memo.elaborate = Some((el_fp, Arc::clone(&el)));
-                        el
-                    }
-                    Err(e) => return restore(self, dirty, e),
-                }
-            }
-        };
-        let s_fp = fp_schedule(&self.program, &el, el_fp);
-        let schedule: Arc<Schedule> = match &self.memo.schedule {
-            Some((fp, s)) if *fp == s_fp => {
-                self.stats.schedule.reuses += 1;
-                Arc::clone(s)
-            }
-            _ => {
-                self.stats.schedule.runs += 1;
-                match sched::schedule(&self.program, &el) {
-                    Ok(s) => {
-                        let s = Arc::new(s);
-                        self.memo.schedule = Some((s_fp, Arc::clone(&s)));
-                        s
-                    }
-                    Err(e) => return restore(self, dirty, e),
-                }
-            }
-        };
-        match analyze::run_analysis(
-            &self.program,
-            &self.tree,
-            &self.opts,
-            config,
-            &el,
-            &schedule,
-            &mut self.memo.analysis,
-            &mut self.stats.analyze,
-        ) {
-            Ok(report) => Ok(report),
-            Err(e) => restore(self, dirty, e),
+            self.analysis_dirty.extend(dirty);
         }
+        result
     }
 
     /// Build (or incrementally rebuild) the image.

@@ -349,3 +349,84 @@ fn objcopy_rename_collision_is_pinned() {
         r#"{"code":"K0009","severity":"error","message":"unit `Loop`: objcopy: objcopy: l.o: rename collides on `f_o_i0`","span":null,"notes":[]}"#
     );
 }
+
+// ---------------------------------------------------------------------------
+// unit front end: the same errors from build, lint and a session's analyze
+// ---------------------------------------------------------------------------
+
+/// Render `err` the way `knitc` prints it: every diagnostic's human text,
+/// and its JSON line.
+fn rendered(err: &KnitError) -> (String, String) {
+    let diags = err.diagnostics();
+    let human: Vec<String> = diags.iter().map(|d| d.human()).collect();
+    let json: Vec<String> = diags.iter().map(|d| d.json()).collect();
+    (human.join("\n"), json.join("\n"))
+}
+
+/// The error each of the three front-end paths gives on `units` rooted at
+/// `Sys`: a one-shot build, a one-shot lint, and a session's analyze.
+fn front_end_errors(units: &str, files: &[(&str, &str)]) -> [(String, String); 3] {
+    let mut p = Program::new();
+    p.load_str("t.unit", units).expect("units parse");
+    let mut t = SourceTree::new();
+    for (path, src) in files {
+        t.add(*path, *src);
+    }
+    let opts = BuildOptions::new("Sys", runtime());
+    let config = knit::LintConfig::new();
+    let built = build(&p, &t, &opts).expect_err("build must fail");
+    let linted = knit::lint(&p, &t, &opts, &config).expect_err("lint must fail");
+    let mut session = knit::BuildSession::from_parts(p, t, opts);
+    let analyzed = session.analyze(&config).expect_err("analyze must fail");
+    [rendered(&built), rendered(&linted), rendered(&analyzed)]
+}
+
+fn assert_front_end_error(units: &str, files: &[(&str, &str)], human: &str, json: &str) {
+    for (path, got) in ["build", "lint", "analyze"].iter().zip(front_end_errors(units, files)) {
+        assert_eq!(got.0, human, "{path}: human text");
+        assert_eq!(got.1, json, "{path}: JSON");
+    }
+}
+
+#[test]
+fn missing_files_entry_is_pinned_on_every_path() {
+    assert_front_end_error(
+        r#"
+        bundletype T = { f }
+        unit Ghost = { exports [ o : T ]; files { "missing.c" }; }
+        unit Sys = { exports [ o : T ]; link { g : Ghost; o = g.o; }; }
+        "#,
+        &[],
+        "error[K0015]: unit `Ghost`: source file `missing.c` not found",
+        r#"{"code":"K0015","severity":"error","message":"unit `Ghost`: source file `missing.c` not found","span":null,"notes":[]}"#,
+    );
+}
+
+#[test]
+fn invalid_flag_in_a_flags_declaration_is_pinned_on_every_path() {
+    assert_front_end_error(
+        r#"
+        bundletype T = { f }
+        flags Odd = { "-fbogus" }
+        unit Flagged = { exports [ o : T ]; files { "f.c" } with flags Odd; }
+        unit Sys = { exports [ o : T ]; link { f : Flagged; o = f.o; }; }
+        "#,
+        &[("f.c", "int f() { return 1; }")],
+        "error[K0009]: unit `Flagged`: unknown compiler flag `-fbogus`",
+        r#"{"code":"K0009","severity":"error","message":"unit `Flagged`: unknown compiler flag `-fbogus`","span":null,"notes":[]}"#,
+    );
+}
+
+#[test]
+fn missing_include_is_pinned_on_every_path() {
+    assert_front_end_error(
+        r#"
+        bundletype T = { f }
+        unit Inc = { exports [ o : T ]; files { "i.c" }; }
+        unit Sys = { exports [ o : T ]; link { i : Inc; o = i.o; }; }
+        "#,
+        &[("i.c", "#include \"nowhere.h\"\nint f() { return 1; }")],
+        r#"error[K0013]: compile: i.c:1: preprocessor: cannot find include "nowhere.h""#,
+        r#"{"code":"K0013","severity":"error","message":"compile: i.c:1: preprocessor: cannot find include \"nowhere.h\"","span":null,"notes":[]}"#,
+    );
+}

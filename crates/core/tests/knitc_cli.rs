@@ -230,3 +230,48 @@ fn pgo_workflow_roundtrips_through_the_cli() {
     assert!(stdout.contains("flatten"), "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `--cache` rebuilds in a second session sharing the compile cache: every
+/// unit is a cache hit, and the report line is the cold build's.
+#[test]
+fn cache_flag_reports_a_fully_warm_rebuild() {
+    let out =
+        knitc(&["--root", "WebServer", "--src", DEMO_SRC, "--jobs", "2", "--cache", DEMO_UNIT]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(String::from_utf8_lossy(&out.stderr), "");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 2, "{stdout}");
+    // the compile-phase timings that end the line vary run to run
+    assert!(
+        lines[0].starts_with("knitc: warm rebuild: 6 cache hits, 0 recompiles; compile phase "),
+        "{stdout}"
+    );
+    assert_eq!(
+        lines[1],
+        "knitc: built `WebServer`: 6 instances from 6 units, 7 objects, 718 bytes of text (2 jobs)"
+    );
+}
+
+/// Bad command lines fail with one `knitc: …` line, then the usage text,
+/// and exit code 2 — before anything is built.
+#[test]
+fn bad_flags_print_one_error_line_and_exit_2() {
+    let cases: [(&[&str], &str); 3] = [
+        (&["--jobs", "0"], "knitc: --jobs needs a positive integer, got `0`"),
+        (&["--jobs", "banana"], "knitc: --jobs needs a positive integer, got `banana`"),
+        (&["--bogus"], "knitc: unknown flag `--bogus`"),
+    ];
+    for (flags, want) in cases {
+        let mut args = vec!["--root", "WebServer", "--src", DEMO_SRC];
+        args.extend_from_slice(flags);
+        args.push(DEMO_UNIT);
+        let out = knitc(&args);
+        assert_eq!(out.status.code(), Some(2), "{flags:?}");
+        assert_eq!(String::from_utf8_lossy(&out.stdout), "", "{flags:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let mut lines = stderr.lines();
+        assert_eq!(lines.next(), Some(want), "{flags:?}");
+        assert!(lines.next().is_some_and(|l| l.starts_with("usage: knitc ")), "{stderr}");
+    }
+}

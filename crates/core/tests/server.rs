@@ -457,3 +457,71 @@ fn lint_over_the_wire_is_byte_identical_and_memoized() {
     ok(&mut conn, &Request::Shutdown);
     handle.join().expect("clean shutdown");
 }
+
+/// Open file descriptors of this process.
+fn open_fds() -> usize {
+    std::fs::read_dir("/proc/self/fd").expect("procfs").count()
+}
+
+/// A closed connection gives its descriptors back: after 200 sequential
+/// connect–ping–drop cycles the server holds no more descriptors than
+/// before them, give or take a few. Other tests in this binary open and
+/// close descriptors concurrently, so the count is polled to a deadline.
+#[test]
+fn closed_connections_release_their_descriptors() {
+    let server = Server::bind(Engine::new(), "auto").expect("binds");
+    let addr = server.addr().to_string();
+    let handle = server.spawn();
+    let before = open_fds();
+    for _ in 0..200 {
+        let mut conn = Conn::connect(&addr).expect("connects");
+        assert_eq!(ok(&mut conn, &Request::Ping), Response::Pong);
+    }
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    let mut now = open_fds();
+    while now > before + 16 && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        now = open_fds();
+    }
+    assert!(now <= before + 16, "{before} descriptors before 200 connections, {now} after");
+
+    let mut conn = Conn::connect(&addr).expect("connects");
+    assert_eq!(ok(&mut conn, &Request::Shutdown), Response::Bye);
+    handle.join().expect("clean shutdown");
+}
+
+/// A request line that is not UTF-8 costs the client one `K0017`, like
+/// malformed JSON: the same connection keeps serving afterwards.
+#[test]
+fn non_utf8_request_is_k0017_and_the_connection_survives() {
+    let server = Server::bind(Engine::new(), "tcp:0").expect("binds");
+    let addr = server.addr().to_string();
+    let handle = server.spawn();
+
+    let tcp = addr.strip_prefix("tcp:").expect("tcp spec");
+    let mut stream = std::net::TcpStream::connect(tcp).expect("connects");
+    stream.set_read_timeout(Some(std::time::Duration::from_secs(10))).expect("sets timeout");
+    let mut burst =
+        format!("{}\n", Request::Hello { version: proto::VERSION }.to_json()).into_bytes();
+    burst.extend_from_slice(b"\xff\xfe\n");
+    burst.extend_from_slice(format!("{}\n", Request::Ping.to_json()).as_bytes());
+    stream.write_all(&burst).expect("writes");
+    stream.flush().expect("flushes");
+
+    let mut reader = BufReader::new(stream);
+    let mut next = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("reads");
+        Response::from_json(line.trim_end()).expect("parses")
+    };
+    assert_eq!(next(), Response::Hello { version: proto::VERSION });
+    match next() {
+        Response::Error { diagnostics } => assert_eq!(diagnostics[0].code, "K0017"),
+        other => panic!("expected a K0017 rejection, got {other:?}"),
+    }
+    assert_eq!(next(), Response::Pong);
+
+    let mut conn = Conn::connect(&addr).expect("connects");
+    assert_eq!(ok(&mut conn, &Request::Shutdown), Response::Bye);
+    handle.join().expect("clean shutdown");
+}

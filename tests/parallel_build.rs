@@ -1,18 +1,27 @@
-//! Determinism and cache-correctness tests for the parallel, cache-aware
-//! build pipeline (DESIGN.md §3): `BuildOptions::jobs` must never change
-//! the produced image, and the content-addressed [`knit::BuildCache`] must
-//! hit exactly when unit content is unchanged.
-//!
-//! `build_with_cache` is deprecated (sessions are the blessed surface) but
-//! keeps its one-release grace period — this suite pins its semantics
-//! until it is removed.
-#![allow(deprecated)]
+//! Sessions that share one compile cache: determinism and cache
+//! correctness for the parallel, cache-aware build pipeline (DESIGN.md §3).
+//! `BuildOptions::jobs` must never change the produced image, and the
+//! content-addressed [`knit::BuildCache`] must hit exactly when unit
+//! content is unchanged — also for a fresh session whose only link to an
+//! earlier build is the cache they share.
 
 use proptest::prelude::*;
 
 use knit_repro::clack::{ip_router, router_build_inputs};
-use knit_repro::knit::{build_with_cache, BuildCache, BuildOptions, Program, SourceTree};
+use knit_repro::knit::{
+    BuildCache, BuildOptions, BuildReport, BuildSession, KnitError, Program, SourceTree,
+};
 use knit_repro::machine;
+
+/// Build `p`/`t` in a fresh session that compiles through `cache`.
+fn build_through(
+    p: &Program,
+    t: &SourceTree,
+    opts: &BuildOptions,
+    cache: &BuildCache,
+) -> Result<BuildReport, KnitError> {
+    BuildSession::from_parts(p.clone(), t.clone(), opts.clone()).with_cache(cache.clone()).build()
+}
 
 // ---------------------------------------------------------------------------
 // determinism: jobs = 1 vs jobs = N
@@ -31,8 +40,8 @@ proptest! {
         serial.jobs = 1;
         let mut parallel = opts;
         parallel.jobs = jobs;
-        let r1 = build_with_cache(&p, &t, &serial, &BuildCache::new()).expect("serial");
-        let rn = build_with_cache(&p, &t, &parallel, &BuildCache::new()).expect("parallel");
+        let r1 = build_through(&p, &t, &serial, &BuildCache::new()).expect("serial");
+        let rn = build_through(&p, &t, &parallel, &BuildCache::new()).expect("parallel");
         prop_assert_eq!(&r1.image, &rn.image, "image differs at jobs={}", jobs);
         prop_assert_eq!(&r1.stats, &rn.stats);
         prop_assert_eq!(&r1.exports, &rn.exports);
@@ -49,8 +58,8 @@ fn parallel_flattened_build_is_deterministic() {
     serial.jobs = 1;
     let mut parallel = opts;
     parallel.jobs = 8;
-    let r1 = build_with_cache(&p, &t, &serial, &BuildCache::new()).expect("serial");
-    let rn = build_with_cache(&p, &t, &parallel, &BuildCache::new()).expect("parallel");
+    let r1 = build_through(&p, &t, &serial, &BuildCache::new()).expect("serial");
+    let rn = build_through(&p, &t, &parallel, &BuildCache::new()).expect("parallel");
     assert_eq!(r1.image, rn.image);
     assert_eq!(r1.stats, rn.stats);
 }
@@ -65,10 +74,10 @@ fn parallel_flattened_build_is_deterministic() {
 fn warm_rebuild_compiles_nothing_and_matches_cold() {
     let (p, t, opts) = router_build_inputs(&ip_router(), false).expect("router inputs");
     let cache = BuildCache::new();
-    let cold = build_with_cache(&p, &t, &opts, &cache).expect("cold");
+    let cold = build_through(&p, &t, &opts, &cache).expect("cold");
     assert_eq!(cold.stats.cache_hits, 0, "cold build starts from an empty cache");
     assert_eq!(cold.stats.cache_misses, cold.stats.units_compiled);
-    let warm = build_with_cache(&p, &t, &opts, &cache).expect("warm");
+    let warm = build_through(&p, &t, &opts, &cache).expect("warm");
     assert_eq!(warm.stats.cache_misses, 0, "warm rebuild must not run cmini");
     assert_eq!(warm.stats.cache_hits, cold.stats.units_compiled);
     assert_eq!(warm.image, cold.image, "cache must reproduce the image exactly");
@@ -81,14 +90,14 @@ fn warm_rebuild_compiles_nothing_and_matches_cold() {
 fn editing_one_source_invalidates_exactly_its_unit() {
     let (p, mut t, opts) = router_build_inputs(&ip_router(), false).expect("router inputs");
     let cache = BuildCache::new();
-    let cold = build_with_cache(&p, &t, &opts, &cache).expect("cold");
+    let cold = build_through(&p, &t, &opts, &cache).expect("cold");
     let total = cold.stats.units_compiled;
 
     // counter.c belongs to the Counter unit alone (nothing includes it)
     let counter = t.get("counter.c").expect("counter.c in the tree").to_string();
     t.add("counter.c", format!("{counter}\nstatic int cache_poke;\n"));
 
-    let rebuilt = build_with_cache(&p, &t, &opts, &cache).expect("rebuild");
+    let rebuilt = build_through(&p, &t, &opts, &cache).expect("rebuild");
     assert_eq!(rebuilt.stats.cache_misses, 1, "only Counter should recompile");
     assert_eq!(rebuilt.stats.cache_hits, total - 1);
     let miss: Vec<&str> =
@@ -103,13 +112,13 @@ fn editing_one_source_invalidates_exactly_its_unit() {
 fn editing_a_shared_header_invalidates_every_includer() {
     let (p, mut t, opts) = router_build_inputs(&ip_router(), false).expect("router inputs");
     let cache = BuildCache::new();
-    let cold = build_with_cache(&p, &t, &opts, &cache).expect("cold");
+    let cold = build_through(&p, &t, &opts, &cache).expect("cold");
     let total = cold.stats.units_compiled;
 
     let header = t.get("include/clack.h").expect("clack.h in the tree").to_string();
     t.add("include/clack.h", format!("{header}\n#define CLACK_POKE 1\n"));
 
-    let rebuilt = build_with_cache(&p, &t, &opts, &cache).expect("rebuild");
+    let rebuilt = build_through(&p, &t, &opts, &cache).expect("rebuild");
     // every element unit includes clack.h; the 13 generated parameter
     // units and the merge shims don't
     assert!(
@@ -172,13 +181,13 @@ unit Top = {{
 fn changing_unit_flags_invalidates_exactly_that_unit() {
     let cache = BuildCache::new();
     let (p, t, opts) = tiny_program(r#""-O2""#);
-    let cold = build_with_cache(&p, &t, &opts, &cache).expect("cold");
+    let cold = build_through(&p, &t, &opts, &cache).expect("cold");
     assert_eq!(cold.stats.units_compiled, 2);
     assert_eq!(run_to_exit(cold.image), 42);
 
     // same sources, but Value now compiles with -DBUMP
     let (p2, t2, opts2) = tiny_program(r#""-O2", "-DBUMP""#);
-    let rebuilt = build_with_cache(&p2, &t2, &opts2, &cache).expect("rebuild");
+    let rebuilt = build_through(&p2, &t2, &opts2, &cache).expect("rebuild");
     assert_eq!(rebuilt.stats.cache_misses, 1, "only Value saw a flag change");
     assert_eq!(rebuilt.stats.cache_hits, 1, "App is untouched and must hit");
     let miss: Vec<&str> =
