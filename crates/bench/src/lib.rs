@@ -1,14 +1,13 @@
 //! # bench — experiment harnesses for every table and in-text measurement
 //!
 //! One function per experiment, shared by the printable binaries
-//! (`cargo run -p bench --bin table1` etc.) and the Criterion benches.
+//! (`cargo run -p bench --bin table1` etc.) and the smoke tests. Timings
+//! of the interpreter and the composition server come from `perfbench/`.
 //! See DESIGN.md §4 for the experiment index and EXPERIMENTS.md for
 //! paper-vs-measured results.
 
 pub mod legacy;
 pub mod mc;
-pub mod serve;
-pub mod simperf;
 pub mod synth;
 
 use clack::click::{build_click_router, ClickOpts};
@@ -31,9 +30,9 @@ pub fn router_workload() -> Vec<packets::WorkItem> {
 }
 
 /// A router workload with explicit size and (optionally) a non-default
-/// RNG seed — the `--packets` / `--seed` knobs of the table binaries and
-/// `simperf`. `seed: None` keeps the standard deterministic stream, so
-/// the default invocations stay byte-for-byte reproducible.
+/// RNG seed — the `--packets` / `--seed` knobs of the table binaries.
+/// `seed: None` keeps the standard deterministic stream, so the default
+/// invocations stay byte-for-byte reproducible.
 pub fn router_workload_seeded(count: usize, seed: Option<u64>) -> Vec<packets::WorkItem> {
     let mut opts = WorkloadOptions { count, ..Default::default() };
     if let Some(s) = seed {
@@ -468,7 +467,8 @@ pub fn deep_lock_kernel_inputs() -> (Program, SourceTree, BuildOptions) {
 
 /// The deep-lock kernel of [`deep_lock_kernel_inputs`] as raw text: the
 /// unit files as `(file, text)` pairs plus the source tree — the form a
-/// composition-server client ships over the wire (`table_serve`).
+/// composition-server client ships over the wire (perfbench's
+/// `serve-edit` workload and the bench smoke tests).
 pub fn deep_lock_kernel_texts() -> (Vec<(String, String)>, SourceTree, BuildOptions) {
     let mut t = oskit::sources();
     // Generate a deep stack of interposing filter units over the Lock

@@ -9,7 +9,8 @@
 //! 1. **mode identity** — the same workload replayed under
 //!    `ExecMode::Fast` must produce bit-identical output frames, per-core
 //!    counters, and bus transaction counts versus `ExecMode::Reference`
-//!    (the multi-core extension of the `simperf` divergence gate);
+//!    (the multi-core extension of the single-core fast-versus-Reference
+//!    tests);
 //! 2. **multiset identity** — the sharded router must emit exactly the
 //!    single-core router's output multiset per port (sharding may reorder
 //!    packets, never alter or drop them).

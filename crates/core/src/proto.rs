@@ -1484,8 +1484,11 @@ pub fn protocol_markdown() -> String {
          direct `BuildSession` produces for the same request stream — the \
          server is a concurrency and caching layer, never a semantic one. \
          `tests/server.rs` enforces this end to end (decode the wire image, \
-         compare `==` against a local build), and `bench --bin table_serve` \
-         gates on it.\n",
+         compare `==` against a local build); the bench smoke test \
+         `served_kernel_images_match_direct_builds_and_dedupe_across_clients` \
+         compares the deep-lock kernel's wire bytes with a direct build's, \
+         and perfbench's `serve-edit` oracle compares each client's last \
+         image hash with a direct build's.\n",
     );
     out
 }

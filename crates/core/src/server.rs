@@ -37,7 +37,7 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown as NetShutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -58,16 +58,33 @@ struct SessionEntry {
     handle: SessionHandle,
     /// Build sequence counter backing [`BuildEvent::seq`].
     seq: Arc<AtomicU64>,
-    /// Live watch subscriptions; pruned when a receiver hangs up.
-    watchers: Arc<Mutex<Vec<mpsc::Sender<BuildEvent>>>>,
+    /// Live watch subscriptions by id; pruned when a receiver hangs up or
+    /// its [`Subscription`] is dropped.
+    watchers: Watchers,
+}
+
+type Watchers = Arc<Mutex<Vec<(u64, mpsc::Sender<BuildEvent>)>>>;
+
+/// A session's registration of one watch subscription (see
+/// [`Engine::subscribe`]). Dropping it unsubscribes: the sender leaves the
+/// session, so the paired receiver's `recv` fails once the events already
+/// queued are drained.
+pub struct Subscription {
+    id: u64,
+    watchers: Watchers,
+}
+
+impl Drop for Subscription {
+    fn drop(&mut self) {
+        let mut watchers = self.watchers.lock().unwrap_or_else(|e| e.into_inner());
+        watchers.retain(|(id, _)| *id != self.id);
+    }
 }
 
 struct Shared {
     cache: BuildCache,
     sessions: Mutex<BTreeMap<String, SessionEntry>>,
-    /// 0 = running, 1 = shutting down. (An `AtomicUsize` rather than a
-    /// bool so a future drain-deadline generation counter can reuse it.)
-    shutdown: AtomicUsize,
+    shutdown: AtomicBool,
 }
 
 /// The transport-agnostic composition engine: a thread-safe registry of
@@ -127,7 +144,7 @@ impl Engine {
             shared: Arc::new(Shared {
                 cache,
                 sessions: Mutex::new(BTreeMap::new()),
-                shutdown: AtomicUsize::new(0),
+                shutdown: AtomicBool::new(false),
             }),
         }
     }
@@ -140,13 +157,13 @@ impl Engine {
     /// True once [`Request::Shutdown`] has been handled (or
     /// [`Engine::begin_shutdown`] called).
     pub fn is_shutdown(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst) != 0
+        self.shared.shutdown.load(Ordering::SeqCst)
     }
 
     /// Flip the shutdown flag and disconnect every watch subscription (so
     /// event-pusher threads blocked on their channels exit).
     pub fn begin_shutdown(&self) {
-        self.shared.shutdown.store(1, Ordering::SeqCst);
+        self.shared.shutdown.store(true, Ordering::SeqCst);
         let sessions = self.lock_sessions();
         for entry in sessions.values() {
             entry.watchers.lock().unwrap_or_else(|e| e.into_inner()).clear();
@@ -207,17 +224,20 @@ impl Engine {
     /// Subscribe to a session's build events (the in-process equivalent of
     /// [`Request::Watch`]). Returns `None` for an unknown session. Every
     /// build *through the engine* emits one event to every subscriber, in
-    /// `seq` order.
-    pub fn subscribe(&self, name: &str) -> Option<mpsc::Receiver<BuildEvent>> {
+    /// `seq` order, on the returned receiver for as long as the returned
+    /// [`Subscription`] lives.
+    pub fn subscribe(&self, name: &str) -> Option<(Subscription, mpsc::Receiver<BuildEvent>)> {
+        static WATCH_IDS: AtomicU64 = AtomicU64::new(0);
         let entry = self.entry(name)?;
+        let id = WATCH_IDS.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = mpsc::channel();
-        entry.watchers.lock().unwrap_or_else(|e| e.into_inner()).push(tx);
-        Some(rx)
+        entry.watchers.lock().unwrap_or_else(|e| e.into_inner()).push((id, tx));
+        Some((Subscription { id, watchers: entry.watchers }, rx))
     }
 
     fn emit(&self, entry: &SessionEntry, event: BuildEvent) {
         let mut watchers = entry.watchers.lock().unwrap_or_else(|e| e.into_inner());
-        watchers.retain(|tx| tx.send(event.clone()).is_ok());
+        watchers.retain(|(_, tx)| tx.send(event.clone()).is_ok());
     }
 
     /// Answer one request. This is the single semantic entry point shared
@@ -668,7 +688,9 @@ impl ServerHandle {
 pub const MAX_REQUEST_LINE: usize = 8 << 20;
 
 /// One connection's request loop: handshake, then requests in order, with
-/// `watch` attaching an event-pusher thread that shares the write side. A
+/// `watch` attaching an event-pusher thread that shares the write side.
+/// The connection owns its subscriptions, so when it ends they are
+/// dropped and every pusher's `recv` fails and its thread exits. A
 /// line that is not UTF-8 or not a request is answered with `K0017` and
 /// the connection keeps serving; a line longer than [`MAX_REQUEST_LINE`]
 /// is answered with `K0017` and closes the connection.
@@ -681,6 +703,7 @@ fn serve_connection(engine: Engine, addr: String, stream: Stream) {
     let mut reader = reader;
     let mut line: Vec<u8> = Vec::new();
     let mut hello_done = false;
+    let mut subscriptions = Vec::new();
     loop {
         line.clear();
         match (&mut reader).take(MAX_REQUEST_LINE as u64 + 1).read_until(b'\n', &mut line) {
@@ -711,7 +734,8 @@ fn serve_connection(engine: Engine, addr: String, stream: Stream) {
             Ok(_) if !hello_done => Response::malformed("connection must open with `hello`"),
             Ok(Request::Watch { session }) => match engine.subscribe(&session) {
                 None => unknown_session(&session),
-                Some(rx) => {
+                Some((subscription, rx)) => {
+                    subscriptions.push(subscription);
                     let writer = Arc::clone(&writer);
                     std::thread::spawn(move || {
                         while let Ok(event) = rx.recv() {

@@ -490,6 +490,49 @@ fn closed_connections_release_their_descriptors() {
     handle.join().expect("clean shutdown");
 }
 
+/// Threads of this process, from the `Threads:` line of its status.
+fn threads() -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
+    let line = status.lines().find(|l| l.starts_with("Threads:")).expect("Threads line");
+    line["Threads:".len()..].trim().parse().expect("thread count")
+}
+
+/// A connection that subscribes and then drops takes its subscription
+/// with it: after 50 connect–hello–watch–drop cycles with no build in
+/// between, the server is back to its descriptor and thread counts from
+/// before them, give or take a few. Polled to a deadline, like
+/// [`closed_connections_release_their_descriptors`].
+#[test]
+fn dropped_watchers_release_their_threads_and_descriptors() {
+    let server = Server::bind(Engine::new(), "auto").expect("binds");
+    let addr = server.addr().to_string();
+    let handle = server.spawn();
+    let mut owner = Conn::connect(&addr).expect("connects");
+    seed_session(&mut owner, "watched", 1);
+    let (fds_before, threads_before) = (open_fds(), threads());
+    for _ in 0..50 {
+        let mut conn = Conn::connect(&addr).expect("connects");
+        match ok(&mut conn, &Request::Watch { session: "watched".into() }) {
+            Response::Subscribed { .. } => {}
+            other => panic!("unexpected watch response {other:?}"),
+        }
+    }
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    let settled = || open_fds() <= fds_before + 16 && threads() <= threads_before + 16;
+    while !settled() && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let (fds, threads) = (open_fds(), threads());
+    assert!(fds <= fds_before + 16, "{fds_before} descriptors before 50 watchers, {fds} after");
+    assert!(
+        threads <= threads_before + 16,
+        "{threads_before} threads before 50 watchers, {threads} after"
+    );
+
+    ok(&mut owner, &Request::Shutdown);
+    handle.join().expect("clean shutdown");
+}
+
 /// A request line that is not UTF-8 costs the client one `K0017`, like
 /// malformed JSON: the same connection keeps serving afterwards.
 #[test]

@@ -229,7 +229,7 @@ impl PerfCounters {
 /// Which execution tier runs guest code. Both produce bit-identical
 /// results, faults, performance counters, and profiles; they differ only
 /// in host wall-clock (see DESIGN.md on interpreter internals, and
-/// `bench --bin simperf` for the measured gap).
+/// EXPERIMENTS.md "Simulator throughput" for the measured gap).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
     /// The predecoded, frame-pooled hot loop (the default).
@@ -400,8 +400,8 @@ impl Machine {
 
     /// Select which execution tier runs guest code. Both modes are
     /// observationally identical (results, faults, counters, profiles);
-    /// [`ExecMode::Reference`] exists for differential testing and as the
-    /// baseline for `simperf`'s throughput comparison.
+    /// [`ExecMode::Reference`] exists as the oracle of the differential
+    /// tests (`tests/simperf.rs`, `tests/mc.rs` and the bench smoke tests).
     pub fn set_exec_mode(&mut self, mode: ExecMode) {
         self.exec_mode = mode;
     }
