@@ -71,24 +71,34 @@ impl ICache {
         stall
     }
 
-    /// Touch one predecoded line: bump the access counter and return
-    /// whether the line missed (tag mismatch, now filled). The fast
-    /// interpreter's per-instruction fetch is a run of these against
-    /// `(set, tag)` pairs computed once at `Machine` construction — the
-    /// address arithmetic of [`ICache::fetch`] done ahead of time.
+    /// Touch one predecoded line: bump the access counter and return 1 if
+    /// the line missed (tag mismatch, now filled), else 0. The fast
+    /// interpreter replays [`ICache::fetch`] with these against `(set,
+    /// tag)` pairs computed once at `Machine` construction — the address
+    /// arithmetic done ahead of time — but only where the answer is not
+    /// known: a straight-line *line run* of instructions falling through
+    /// on one line is checked once, at its first instruction, and its
+    /// other fetches are guaranteed hits counted by
+    /// [`ICache::count_hit`].
     /// Callers must skip the call entirely when `miss_stall` is zero,
     /// mirroring [`ICache::fetch`]'s early return (which counts nothing).
     #[inline]
-    pub(crate) fn access_line(&mut self, set: u32, tag: u64) -> bool {
+    pub(crate) fn access_line(&mut self, (set, tag): (u32, u32)) -> u64 {
         self.accesses += 1;
         let slot = &mut self.tags[set as usize];
-        if *slot != tag {
-            *slot = tag;
+        if *slot != u64::from(tag) {
+            *slot = u64::from(tag);
             self.misses += 1;
-            true
+            1
         } else {
-            false
+            0
         }
+    }
+
+    /// Count one access known to hit a resident line.
+    #[inline]
+    pub(crate) fn count_hit(&mut self) {
+        self.accesses += 1;
     }
 
     /// A tagless placeholder left behind while the fast interpreter loop
@@ -184,14 +194,14 @@ mod tests {
         let mut via_fetch = small();
         let mut via_lines = small();
         assert_eq!(via_fetch.fetch(30, 4), 20);
-        assert!(via_lines.access_line(0, 0), "first line cold-misses");
-        assert!(via_lines.access_line(1, 0), "second line cold-misses");
+        assert_eq!(via_lines.access_line((0, 0)), 1, "first line cold-misses");
+        assert_eq!(via_lines.access_line((1, 0)), 1, "second line cold-misses");
         assert_eq!(via_fetch.misses(), via_lines.misses());
         assert_eq!(via_fetch.accesses(), via_lines.accesses());
         // replaying the same straddle hits in both models
         assert_eq!(via_fetch.fetch(30, 4), 0);
-        assert!(!via_lines.access_line(0, 0));
-        assert!(!via_lines.access_line(1, 0));
+        assert_eq!(via_lines.access_line((0, 0)), 0);
+        assert_eq!(via_lines.access_line((1, 0)), 0);
         assert_eq!(via_fetch.misses(), via_lines.misses());
     }
 
@@ -202,12 +212,12 @@ mod tests {
         let mut via_fetch = small();
         let mut via_lines = small();
         assert_eq!(via_fetch.fetch(127, 2), 20);
-        assert!(via_lines.access_line(3, 0));
-        assert!(via_lines.access_line(0, 1));
+        assert_eq!(via_lines.access_line((3, 0)), 1);
+        assert_eq!(via_lines.access_line((0, 1)), 1);
         // the wrapped fill evicted set 0's tag-0 occupant: refetching
         // address 0 must conflict-miss in both models
         assert_eq!(via_fetch.fetch(0, 1), 10);
-        assert!(via_lines.access_line(0, 0));
+        assert_eq!(via_lines.access_line((0, 0)), 1);
         assert_eq!(via_fetch.misses(), via_lines.misses());
         assert_eq!(via_fetch.accesses(), via_lines.accesses());
     }

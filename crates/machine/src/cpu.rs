@@ -942,6 +942,7 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::ICacheParams;
     use cobj::ir::{BinOp, Instr};
     use cobj::object::{FuncDef, ObjectFile, Symbol};
     use cobj::{link, LinkInput, LinkOptions};
@@ -1221,6 +1222,67 @@ mod tests {
             m.counters().cycles
         };
         assert!(build(true) > build(false));
+    }
+
+    /// The Fast tier skips the tag check inside line runs and only counts
+    /// those fetches, so the I-cache's own statistics — not only the
+    /// `PerfCounters` — must match the Reference tier's `ICache::fetch`.
+    #[test]
+    fn fast_and_reference_icache_statistics_agree() {
+        // f(n) loops n times calling g, under caches that the 70-byte
+        // loop and the call evict (one line, and 8-byte lines that
+        // straddle often) and the default. As linked, the loop target
+        // shares its 32-byte line with its predecessor, and it and the
+        // return point each start a line run that ends on a line
+        // boundary: a missing flag loses a miss no later check makes up.
+        let mut o = ObjectFile::new("t.o");
+        let g = o.add_symbol(Symbol::func("g"));
+        let f = o.add_symbol(Symbol::func("f"));
+        o.funcs.push(FuncDef {
+            sym: g,
+            params: 1,
+            nregs: 2,
+            frame_size: 0,
+            body: vec![
+                Instr::Bin { op: BinOp::Mul, dst: 1, a: 0, b: 0 },
+                Instr::Ret { value: Some(1) },
+            ],
+        });
+        let mut body = vec![
+            Instr::Const { dst: 1, value: 0 },
+            Instr::Const { dst: 2, value: 1 },
+            Instr::Bin { op: BinOp::Add, dst: 1, a: 1, b: 0 },
+            Instr::Bin { op: BinOp::Sub, dst: 0, a: 0, b: 2 },
+            Instr::Call { dst: Some(3), target: g, args: vec![1] },
+            Instr::Bin { op: BinOp::Add, dst: 1, a: 1, b: 3 },
+        ];
+        let xor = Instr::Bin { op: BinOp::Xor, dst: 3, a: 3, b: 1 };
+        body.extend(std::iter::repeat_n(xor.clone(), 6));
+        body.extend(std::iter::repeat_n(Instr::Mov { dst: 3, src: 1 }, 2));
+        body.extend(std::iter::repeat_n(xor, 6));
+        body.push(Instr::Branch { cond: 0, then_to: 2, else_to: body.len() + 1 });
+        body.push(Instr::Ret { value: Some(1) });
+        o.funcs.push(FuncDef { sym: f, params: 1, nregs: 4, frame_size: 0, body });
+        let image = link_one(o, "f");
+        for icache in [
+            ICacheParams { size: 32, line: 32, miss_stall: 9 },
+            ICacheParams { size: 64, line: 8, miss_stall: 9 },
+            ICacheParams::default(),
+        ] {
+            let run = |mode| {
+                let costs = CostModel { icache, ..CostModel::default() };
+                let mut m = Machine::with_costs(image.clone(), costs).unwrap();
+                m.set_exec_mode(mode);
+                let r = m.call("f", &[5]);
+                (r, m.counters(), m.icache.accesses(), m.icache.misses())
+            };
+            let reference = run(ExecMode::Reference);
+            assert!(reference.3 > 0, "{icache:?}: the loop must miss");
+            assert_eq!(run(ExecMode::Fast), reference, "{icache:?}");
+        }
+        let m = Machine::new(image).unwrap();
+        let runs = m.fetch_plans.iter().flat_map(|p| &p.ops).filter(|op| !op.check).count();
+        assert!(runs > 0, "32-byte lines hold line runs that skip the tag check");
     }
 
     #[test]

@@ -22,6 +22,14 @@
 //!   folded into [`UOp::cost`] at decode ([`super::static_cost`]), so
 //!   the arms carry no accounting — only a taken/not-taken `Branch` and
 //!   I-cache stalls charge dynamically.
+//! * **One tag check per line run.** A *line run* is a stretch of
+//!   straight-line instructions on one I-cache line, entered only at its
+//!   first instruction. Only that first instruction has [`UOp::check`]
+//!   set (as do all jump and branch targets, return points and
+//!   line-straddling instructions; see [`super::CodePlan::build_all`]),
+//!   so only it calls [`crate::ICache::access_line`]. The rest are hits
+//!   by construction and only bump the cache's access count, so every
+//!   counter stays exact.
 //!
 //! [`PerfCounters`]: crate::PerfCounters
 
@@ -127,19 +135,27 @@ impl Machine {
 
             // Fetch: charge I-cache stalls off the predecoded line
             // metadata (skipped entirely when stalls are free, mirroring
-            // `ICache::fetch`'s early return).
+            // `ICache::fetch`'s early return). Inside a line run the line
+            // is resident: one access, no stall.
             if FETCH {
-                let mut missed = u64::from(icache.access_line(op.set, op.tag));
-                if op.extra != 0 {
-                    let start = op.rest as usize;
-                    for &(set, tag) in &plan.rest[start..start + op.extra as usize] {
-                        missed += u64::from(icache.access_line(set, tag));
+                if op.check {
+                    let mut missed = icache.access_line(op.first);
+                    if op.extra != 0 {
+                        let start = op.rest as usize;
+                        for &line in &plan.rest[start..start + op.extra as usize - 1] {
+                            missed += icache.access_line(line);
+                        }
+                        missed += icache.access_line(op.last);
                     }
+                    if missed != 0 {
+                        let stall = missed * miss_stall;
+                        ctr.icache_misses += missed;
+                        ctr.ifetch_stall_cycles += stall;
+                        ctr.cycles += stall;
+                    }
+                } else {
+                    icache.count_hit();
                 }
-                let stall = missed * miss_stall;
-                ctr.icache_misses += missed;
-                ctr.ifetch_stall_cycles += stall;
-                ctr.cycles += stall;
             }
             ctr.instructions += 1;
             // Every deterministic cycle this instruction charges (base +

@@ -31,10 +31,12 @@
 //! * **Predecoded fetch.** The I-cache lines each instruction touches are
 //!   a pure function of the (immutable) code layout and cache geometry,
 //!   so [`CodePlan::build_all`] computes every `(set, tag)` pair up
-//!   front. The first — almost always only — line is inline in the
-//!   `UOp`; the rare line-straddling tail lives in an arena. Fetch is
-//!   then one [`crate::ICache::access_line`] call, no division, no
-//!   address arithmetic.
+//!   front. The first and the last line (the same one unless the
+//!   instruction straddles) are inline in the `UOp`; lines between them
+//!   live in an arena. Fetch is then [`crate::ICache::access_line`]
+//!   calls, no division, no address arithmetic — and only where a line
+//!   run starts (see [`fast`]): a [`UOp::check`] bit marks the
+//!   instructions whose fetch is not certain to hit.
 //! * **Frame and argument pooling.** `Call` in the reference loop
 //!   allocates a fresh `Vec<i64>` for the arguments and `push_frame`
 //!   another for the registers, every single call. The fast tier recycles
@@ -115,21 +117,23 @@ pub(crate) enum Op {
 }
 
 /// One predecoded instruction: opcode, operands, immediate, static cycle
-/// cost, and the instruction's I-cache fetch metadata (first line inline
-/// — the overwhelmingly common *only* line — plus an arena reference for
-/// the rare line-straddling tail).
+/// cost, and the instruction's I-cache fetch metadata (first and last
+/// line inline, an arena reference for any lines between, and whether
+/// the fetch needs a tag check at all).
 #[derive(Debug, Clone)]
 pub(crate) struct UOp {
     /// Immediate: constant, address offset, jump target, call target.
     pub(crate) imm: i64,
-    /// First I-cache line's tag.
-    pub(crate) tag: u64,
     pub(crate) a: u32,
     pub(crate) b: u32,
     pub(crate) c: u32,
-    /// First I-cache line's set index.
-    pub(crate) set: u32,
-    /// Start of the straddled lines in [`CodePlan::rest`].
+    /// First I-cache line's `(set, tag)`.
+    pub(crate) first: (u32, u32),
+    /// Last I-cache line's `(set, tag)`: the first again unless the
+    /// instruction straddles.
+    pub(crate) last: (u32, u32),
+    /// Start of the lines strictly between the first and the last in
+    /// [`CodePlan::rest`].
     pub(crate) rest: u32,
     /// Deterministic cycles this instruction charges ([`static_cost`]);
     /// excludes the two dynamic charges (branch direction, fetch stalls).
@@ -137,14 +141,24 @@ pub(crate) struct UOp {
     /// Number of additional lines this instruction straddles onto.
     pub(crate) extra: u16,
     pub(crate) code: Op,
+    /// Fetch must consult the I-cache. Clear only inside a *line run*:
+    /// the op is reached solely by falling through from a non-call op
+    /// whose last line is this op's first and only line, so that line is
+    /// resident and the fetch is a guaranteed hit (see [`CodePlan::build_all`]).
+    pub(crate) check: bool,
 }
+
+// The inline last line and the line-run flag fit in the 48 bytes a `UOp`
+// took before them. Tags are `u32`: text addresses would have to reach
+// 2^32 cache sizes to overflow one.
+const _: () = assert!(std::mem::size_of::<UOp>() <= 48);
 
 /// Predecoded body of one function: the micro-op stream, the call-argument
 /// register arena, and the fetch-straddle arena.
 pub(crate) struct CodePlan {
     pub(crate) ops: Vec<UOp>,
     pub(crate) call_args: Vec<Reg>,
-    pub(crate) rest: Vec<(u32, u64)>,
+    pub(crate) rest: Vec<(u32, u32)>,
 }
 
 /// Encode an optional register so 0 means "none" (register `r` becomes
@@ -187,9 +201,19 @@ impl CodePlan {
     /// an instruction spans `addr / line ..= (addr + size.max(1) - 1) /
     /// line`, each line mapping to set `line % nlines` with tag
     /// `line / nlines`.
+    ///
+    /// An op's `check` flag is cleared only when its fetch is certain to
+    /// hit in the direct-mapped cache: it is not at pc 0, not a `Jump` or
+    /// `Branch` target, not a return point (the op after a call, whose
+    /// callee may have evicted the line), does not straddle, and starts on
+    /// the line its predecessor ended on — the line that predecessor's own
+    /// fetch just left resident.
     pub(crate) fn build_all(image: &Image, costs: &CostModel) -> Vec<CodePlan> {
         let params: ICacheParams = costs.icache;
         let nlines = params.size / params.line;
+        let set_tag = |line: u64| {
+            ((line % nlines) as u32, u32::try_from(line / nlines).expect("I-cache tag fits u32"))
+        };
         image
             .funcs
             .iter()
@@ -197,26 +221,43 @@ impl CodePlan {
                 let mut ops = Vec::with_capacity(f.body.len());
                 let mut call_args: Vec<Reg> = Vec::new();
                 let mut rest = Vec::new();
+                // Jump and branch targets; one past the end absorbs targets
+                // that fall off the function.
+                let mut targets = vec![false; f.body.len() + 1];
+                for instr in &f.body {
+                    let (t, e) = match *instr {
+                        RInstr::Jump { target } => (target, target),
+                        RInstr::Branch { then_to, else_to, .. } => (then_to, else_to),
+                        _ => continue,
+                    };
+                    targets[t.min(f.body.len())] = true;
+                    targets[e.min(f.body.len())] = true;
+                }
+                // The line the previous op's fetch left resident; none at
+                // pc 0 and after a call.
+                let mut resident = u64::MAX;
                 for (i, instr) in f.body.iter().enumerate() {
                     let addr = f.instr_addrs[i];
                     let size = f.instr_sizes[i];
                     let first = addr / params.line;
                     let last = (addr + (size as u64).max(1) - 1) / params.line;
+                    let check = targets[i] || first != resident || last != first;
+                    let call = matches!(instr, RInstr::Call { .. } | RInstr::CallInd { .. });
+                    resident = if call { u64::MAX } else { last };
                     let rstart = rest.len() as u32;
-                    for line in first + 1..=last {
-                        rest.push(((line % nlines) as u32, line / nlines));
-                    }
+                    rest.extend((first + 1..last).map(set_tag));
                     let mut op = UOp {
                         imm: 0,
-                        tag: first / nlines,
                         a: 0,
                         b: 0,
                         c: 0,
-                        set: (first % nlines) as u32,
+                        first: set_tag(first),
+                        last: set_tag(last),
                         rest: rstart,
                         cost: 0,
                         extra: (last - first) as u16,
                         code: Op::Nop,
+                        check,
                     };
                     let mut argc = 0u32;
                     match instr {

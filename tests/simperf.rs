@@ -87,15 +87,19 @@ proptest! {
         let args: Vec<i64> = (0..rng.random_range(0usize..3))
             .map(|_| rng.random_range(-8i64..8))
             .collect();
-        // Three cache geometries: the default, stalls disabled (the
-        // `miss_stall == 0` early-return path), and a tiny cache that
-        // thrashes (conflict-eviction heavy).
+        // Five cache geometries: the default, stalls disabled (the
+        // `miss_stall == 0` early-return path), a tiny cache that thrashes
+        // (conflict-eviction heavy), a one-line cache (every call, jump
+        // and line change evicts: the line-run flags must be exact), and
+        // 8-byte lines (most instructions straddle).
         let geometries = [
             ICacheParams::default(),
             ICacheParams { size: 128, line: 32, miss_stall: 0 },
             ICacheParams { size: 128, line: 32, miss_stall: 9 },
+            ICacheParams { size: 32, line: 32, miss_stall: 9 },
+            ICacheParams { size: 64, line: 8, miss_stall: 9 },
         ];
-        let icache = geometries[rng.random_range(0usize..3)];
+        let icache = geometries[rng.random_range(0..geometries.len())];
         let costs = CostModel { icache, ..CostModel::default() };
 
         let reference = observe(&image, ExecMode::Reference, costs.clone(), &args);
@@ -336,7 +340,7 @@ fn step_limit_mid_block_agrees_across_tiers() {
 
 /// Drive the hand-built Clack router end to end in `mode` and snapshot
 /// every observable: per-device output frames, counters, profile, console.
-fn run_router(mode: ExecMode) -> (Vec<Vec<Vec<u8>>>, Observed) {
+fn run_router(mode: ExecMode, costs: CostModel) -> (Vec<Vec<Vec<u8>>>, Observed) {
     let report = clack::build_hand_router(false).expect("router builds");
     let entry = report
         .exports
@@ -344,7 +348,7 @@ fn run_router(mode: ExecMode) -> (Vec<Vec<Vec<u8>>>, Observed) {
         .find(|(k, _)| k.ends_with(".router_step"))
         .map(|(_, v)| v.clone())
         .expect("router_step exported");
-    let mut m = Machine::new(report.image.clone()).unwrap();
+    let mut m = Machine::with_costs(report.image.clone(), costs).unwrap();
     m.set_exec_mode(mode);
     m.set_profiling(true);
     m.call("__knit_init", &[]).expect("init");
@@ -389,11 +393,17 @@ fn run_router(mode: ExecMode) -> (Vec<Vec<Vec<u8>>>, Observed) {
     (outputs, obs)
 }
 
+/// Under the default cache and under a 128-byte one, where calls and
+/// loop back edges evict constantly, so a guaranteed-hit fetch that is
+/// not guaranteed shows up as a missing miss.
 #[test]
 fn clack_router_is_bit_identical_across_modes() {
-    let (frames_ref, reference) = run_router(ExecMode::Reference);
-    let (frames, obs) = run_router(ExecMode::Fast);
-    assert_eq!(frames, frames_ref, "fast: routed frames must match");
-    assert_eq!(obs, reference, "fast: counters, profile, and device output must match");
-    assert!(reference.counters.cycles > 0);
+    let tiny = ICacheParams { size: 128, line: 32, miss_stall: 14 };
+    for costs in [CostModel::default(), CostModel { icache: tiny, ..CostModel::default() }] {
+        let (frames_ref, reference) = run_router(ExecMode::Reference, costs.clone());
+        let (frames, obs) = run_router(ExecMode::Fast, costs.clone());
+        assert_eq!(frames, frames_ref, "fast: routed frames must match under {:?}", costs.icache);
+        assert_eq!(obs, reference, "fast: counters, profile, output under {:?}", costs.icache);
+        assert!(reference.counters.cycles > 0);
+    }
 }
