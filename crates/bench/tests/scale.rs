@@ -195,18 +195,84 @@ proptest! {
     }
 }
 
+/// Every parallel phase of a cold build — parsing and interning, compiles,
+/// constraints next to the schedule, rename plans, stamping and objcopy,
+/// flattening, and the link's validation, symbol scan and function
+/// resolution — merges in a fixed order: the image is byte-identical for
+/// every `jobs`.
 #[test]
 fn images_identical_for_every_jobs() {
-    let corpus = generate(&SynthParams::sized(60, 0xBEEF));
-    let mut hashes = Vec::new();
-    for jobs in [1usize, 4] {
-        let program = corpus.load_program(jobs).expect("parses");
-        let mut opts = BuildOptions::new(&corpus.root, Vec::<String>::new());
-        opts.jobs = jobs;
-        let report = knit::build(&program, &corpus.tree, &opts).expect("builds");
-        hashes.push(image_hash(&report.image));
+    let corpus = generate(&SynthParams::sized(300, 0xBEEF));
+    let images: Vec<_> = [1usize, 2, 4]
+        .into_iter()
+        .map(|jobs| {
+            let program = corpus.load_program(jobs).expect("parses");
+            let opts = BuildOptions::root(&corpus.root).jobs(jobs).build();
+            (jobs, knit::build(&program, &corpus.tree, &opts).expect("builds").image)
+        })
+        .collect();
+    for (jobs, image) in &images[1..] {
+        assert!(*image == images[0].1, "image at jobs={jobs} differs from jobs=1");
     }
-    assert_eq!(hashes[0], hashes[1], "image depends on --jobs");
+}
+
+/// Rename plans are made on `jobs` workers, but a build where two units
+/// fail planning still reports the failing unit instantiated first — not
+/// the first by name, nor the first to finish — in the same human and
+/// JSON bytes for every `jobs`.
+#[test]
+fn rename_plan_errors_identical_for_every_jobs() {
+    let params = SynthParams::sized(300, 0x5EED);
+    let mut corpus = generate(&params);
+    let el = knit::elaborate::elaborate(&corpus.load_program(1).expect("parses"), &corpus.root)
+        .expect("elaborates");
+    // Two layer units whose name order and instantiation order disagree.
+    let layer: Vec<(usize, usize)> =
+        (1..params.depth).flat_map(|l| (0..params.fanout).map(move |k| (l, k))).collect();
+    let name = |(l, k): (usize, usize)| format!("U{l}_{k}");
+    let first = |u: (usize, usize)| el.instances_of(&name(u))[0];
+    let (later, earlier) = layer
+        .iter()
+        .flat_map(|&a| layer.iter().map(move |&b| (a, b)))
+        .find(|&(a, b)| name(a) < name(b) && first(a) > first(b))
+        .expect("instantiation order is shuffled against name order");
+    // `later` references a symbol nothing provides; `earlier` no longer
+    // defines its export member `f0`.
+    let path = SynthCorpus::c_file(later.0, later.1);
+    let text = corpus.tree.get(&path).expect("layer source").to_string();
+    corpus.tree.add(&path, format!("{text}int ghost();\nint extra() {{ return ghost(); }}\n"));
+    let path = SynthCorpus::c_file(earlier.0, earlier.1);
+    let prefix = format!("u{}_{}", earlier.0, earlier.1);
+    let text = corpus.tree.get(&path).expect("layer source").to_string();
+    let renamed = text.replace(&format!("int {prefix}_f0() {{"), &format!("int {prefix}_g0() {{"));
+    assert_ne!(renamed, text, "the export definition was renamed away");
+    corpus.tree.add(&path, renamed);
+
+    let rendered: Vec<(String, String)> = [1usize, 2, 4]
+        .into_iter()
+        .map(|jobs| {
+            let program = corpus.load_program(jobs).expect("parses");
+            let opts = BuildOptions::root(&corpus.root).jobs(jobs).build();
+            let err = knit::build(&program, &corpus.tree, &opts).expect_err("planning fails");
+            let diags = err.diagnostics();
+            let human: Vec<String> = diags.iter().map(|d| d.human()).collect();
+            let json: Vec<String> = diags.iter().map(|d| d.json()).collect();
+            (human.join("\n"), json.join("\n"))
+        })
+        .collect();
+    let (human, json) = &rendered[0];
+    assert!(
+        human.contains(&format!("unit `{}`", name(earlier)))
+            && human.contains(&format!("`out.{prefix}_f0`")),
+        "blames the unit instantiated first: {human}"
+    );
+    assert!(!human.contains("ghost"), "not the first unit by name: {human}");
+    assert!(
+        json.contains(&format!("\"file\":\"{}\"", SynthCorpus::unit_file(earlier.0, earlier.1)))
+    );
+    for (jobs, r) in [2, 4].iter().zip(&rendered[1..]) {
+        assert_eq!(r, &rendered[0], "diagnostics at jobs={jobs} differ from jobs=1");
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -26,6 +26,18 @@ use crate::token::Span;
 /// `budget` bounds the callee body size in statements. Returns the number
 /// of call sites inlined.
 pub fn inline_tu(tu: &mut TranslationUnit, budget: usize) -> usize {
+    // Direct-call-site counts: a function called exactly once is inlined
+    // regardless of size (gcc's single-call-site heuristic — the function
+    // body would exist exactly once either way).
+    let call_counts = count_call_sites(tu);
+    // Only a direct call to a function defined in this unit can be inlined,
+    // and only inlining exposes new calls. Without one — the usual case
+    // for a separately compiled unit — there is nothing to do.
+    if !tu.items.iter().any(|item| {
+        matches!(item, Item::Func(f) if f.body.is_some() && call_counts.contains_key(&f.name))
+    }) {
+        return 0;
+    }
     let addr_taken = functions_with_address_taken(tu);
     // Candidate snapshot per function name, with its definition index.
     let mut defs: BTreeMap<String, (usize, FuncDef)> = BTreeMap::new();
@@ -36,10 +48,6 @@ pub fn inline_tu(tu: &mut TranslationUnit, budget: usize) -> usize {
             }
         }
     }
-    // Direct-call-site counts: a function called exactly once is inlined
-    // regardless of size (gcc's single-call-site heuristic — the function
-    // body would exist exactly once either way).
-    let call_counts = count_call_sites(tu);
     let mut count = 0usize;
     let mut fresh = 0usize;
     for i in 0..tu.items.len() {
@@ -1127,6 +1135,45 @@ mod tests {
         );
         assert_eq!(n, 1);
         assert!(!has_call_to(&tu, "f", "double_it"));
+    }
+
+    #[test]
+    fn unit_without_an_inlinable_direct_call_comes_back_unchanged() {
+        // Calls only to declared-elsewhere functions, a function pointer
+        // call and a global initializer: the shape of a separately
+        // compiled unit, which the early exit skips.
+        let src = "int other(int x);\n\
+                   static int k = 3;\n\
+                   int (*hook)(int) = other;\n\
+                   int f(int y) { int a = other(y); return hook(a) + k; }\n\
+                   int g(int z) { return other(z + 1); }";
+        let before = parse("t.c", src).unwrap();
+        let (tu, n) = run(src, 32);
+        assert_eq!(n, 0);
+        assert_eq!(tu, before);
+    }
+
+    #[test]
+    fn one_definition_before_use_call_is_inlined_as_before() {
+        // Pinned output of the pass before the early exit existed: `sq`
+        // has two call sites, so only the statement-level one in `f` is
+        // spliced, and the static survives for `g`'s nested call.
+        let (tu, n) = run(
+            "static int sq(int x) { int y = x * x; return y; }\n\
+             int f(int a) { int b = sq(a + 1); return b - 1; }\n\
+             int g(int c) { return f(c) + sq(c); }",
+            32,
+        );
+        assert_eq!(n, 1);
+        assert_eq!(
+            crate::printer::print_tu(&tu),
+            "static int sq(int x) {\n    int y = (x * x);\n    return y;\n}\n\
+             int f(int a) {\n    int b;\n    {\n        int __inl0_x = (a + 1);\n        \
+             int __inl0_ret = 0;\n        {\n            int __inl0_y = (__inl0_x * __inl0_x);\n            \
+             (__inl0_ret = __inl0_y);\n        }\n        (b = __inl0_ret);\n    }\n    \
+             return (b - 1);\n}\n\
+             int g(int c) {\n    return (f(c) + sq(c));\n}\n"
+        );
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //! and calls conservatively kill all memorized loads (with store-to-load
 //! forwarding for the stored address itself).
 
-use std::collections::HashMap;
-
+use cobj::fnv::FnvMap;
 use cobj::ir::{BinOp, Instr, SymId, UnOp, Width};
 use cobj::object::{FuncDef, ObjectFile};
 
@@ -86,18 +85,18 @@ fn leaders(body: &[Instr]) -> Vec<bool> {
 #[derive(Clone)]
 struct VnState {
     next_vn: u32,
-    reg_vn: HashMap<u32, u32>,
-    expr_vn: HashMap<Key, (u32, u32)>, // key -> (vn, holder reg)
-    const_of: HashMap<u32, i64>,       // vn -> known constant
+    reg_vn: FnvMap<u32, u32>,
+    expr_vn: FnvMap<Key, (u32, u32)>, // key -> (vn, holder reg)
+    const_of: FnvMap<u32, i64>,       // vn -> known constant
 }
 
 impl VnState {
     fn new() -> Self {
         VnState {
             next_vn: 0,
-            reg_vn: HashMap::new(),
-            expr_vn: HashMap::new(),
-            const_of: HashMap::new(),
+            reg_vn: FnvMap::default(),
+            expr_vn: FnvMap::default(),
+            const_of: FnvMap::default(),
         }
     }
 
@@ -134,45 +133,31 @@ impl VnState {
 /// redundant reads via common subexpression elimination").
 fn value_number(f: &mut FuncDef) -> bool {
     let lead = leaders(&f.body);
-    // block id per instruction (= index of its leader)
-    let mut block_of = vec![0usize; f.body.len()];
-    let mut cur_block = 0usize;
-    for i in 0..f.body.len() {
-        if lead[i] {
-            cur_block = i;
-        }
-        block_of[i] = cur_block;
-    }
-    // count incoming edges per block leader
-    let mut in_edges: HashMap<usize, usize> = HashMap::new();
+    // incoming edges per block leader (a target may be one past the end)
+    let mut in_edges: Vec<u32> = vec![0; f.body.len() + 1];
     for (i, ins) in f.body.iter().enumerate() {
         match ins {
-            Instr::Jump { target } => {
-                *in_edges.entry(*target).or_default() += 1;
-            }
+            Instr::Jump { target } => in_edges[*target] += 1,
             Instr::Branch { then_to, else_to, .. } => {
-                *in_edges.entry(*then_to).or_default() += 1;
-                *in_edges.entry(*else_to).or_default() += 1;
+                in_edges[*then_to] += 1;
+                in_edges[*else_to] += 1;
             }
             Instr::Ret { .. } => {}
             _ => {
                 // fall-through into a leader
                 if i + 1 < f.body.len() && lead[i + 1] {
-                    *in_edges.entry(i + 1).or_default() += 1;
+                    in_edges[i + 1] += 1;
                 }
             }
         }
     }
-    // state captured at each edge into a single-pred block (keyed by the
-    // target leader); only useful when the edge source was already
-    // processed (forward edges).
-    let mut edge_state: HashMap<usize, VnState> = HashMap::new();
-    let capture = |target: usize,
-                   st: &VnState,
-                   edge_state: &mut HashMap<usize, VnState>,
-                   in_edges: &HashMap<usize, usize>| {
-        if in_edges.get(&target).copied().unwrap_or(0) == 1 {
-            edge_state.insert(target, st.clone());
+    // state captured at each edge into a single-pred block (by target
+    // leader); only useful when the edge source was already processed
+    // (forward edges).
+    let mut edge_state: Vec<Option<VnState>> = vec![None; f.body.len() + 1];
+    let capture = |target: usize, st: &VnState, edge_state: &mut Vec<Option<VnState>>| {
+        if in_edges[target] == 1 {
+            edge_state[target] = Some(st.clone());
         }
     };
 
@@ -181,11 +166,10 @@ fn value_number(f: &mut FuncDef) -> bool {
 
     for i in 0..f.body.len() {
         if lead[i] && i > 0 {
-            st = edge_state.remove(&i).unwrap_or_else(VnState::new);
+            st = edge_state[i].take().unwrap_or_else(VnState::new);
         }
-        // Decompose to avoid borrowing issues.
-        let ins = f.body[i].clone();
-        match ins {
+        // Every field bound below is `Copy`: the match borrows nothing.
+        match f.body[i] {
             Instr::Const { dst, value } => {
                 let key = Key::Const(value);
                 changed |= define(&mut st, &mut f.body[i], dst, key, Some(value));
@@ -272,14 +256,14 @@ fn value_number(f: &mut FuncDef) -> bool {
                     let target = if c != 0 { then_to } else { else_to };
                     f.body[i] = Instr::Jump { target };
                     changed = true;
-                    capture(target, &st, &mut edge_state, &in_edges);
+                    capture(target, &st, &mut edge_state);
                 } else {
-                    capture(then_to, &st, &mut edge_state, &in_edges);
-                    capture(else_to, &st, &mut edge_state, &in_edges);
+                    capture(then_to, &st, &mut edge_state);
+                    capture(else_to, &st, &mut edge_state);
                 }
             }
             Instr::Jump { target } => {
-                capture(target, &st, &mut edge_state, &in_edges);
+                capture(target, &st, &mut edge_state);
             }
             Instr::Ret { .. } | Instr::Nop => {}
         }
@@ -288,10 +272,9 @@ fn value_number(f: &mut FuncDef) -> bool {
             && lead[i + 1]
             && !matches!(f.body[i], Instr::Jump { .. } | Instr::Branch { .. } | Instr::Ret { .. })
         {
-            capture(i + 1, &st, &mut edge_state, &in_edges);
+            capture(i + 1, &st, &mut edge_state);
         }
     }
-    let _ = block_of;
     changed
 }
 
@@ -328,22 +311,10 @@ fn dead_code(f: &mut FuncDef) -> bool {
         return false;
     }
     let nregs = f.nregs as usize;
-    // live[i] = registers live *after* instruction i
-    let mut live: Vec<Vec<bool>> = vec![vec![false; nregs]; n + 1];
-    let succs = |i: usize| -> Vec<usize> {
-        match &f.body[i] {
-            Instr::Jump { target } => vec![*target],
-            Instr::Branch { then_to, else_to, .. } => vec![*then_to, *else_to],
-            Instr::Ret { .. } => vec![],
-            _ => {
-                if i + 1 < n {
-                    vec![i + 1]
-                } else {
-                    vec![]
-                }
-            }
-        }
-    };
+    // row i of `live` = registers live *after* instruction i
+    let mut live = vec![false; (n + 1) * nregs];
+    let mut out = vec![false; nregs];
+    let mut lin = vec![false; nregs];
 
     // iterate to fixpoint
     let mut changed_liveness = true;
@@ -351,23 +322,31 @@ fn dead_code(f: &mut FuncDef) -> bool {
         changed_liveness = false;
         for i in (0..n).rev() {
             // out = union of live-in of successors
-            let mut out = vec![false; nregs];
-            for s in succs(i) {
+            out.fill(false);
+            let succs = match f.body[i] {
+                Instr::Jump { target } => [Some(target), None],
+                Instr::Branch { then_to, else_to, .. } => [Some(then_to), Some(else_to)],
+                Instr::Ret { .. } => [None, None],
+                _ => [(i + 1 < n).then_some(i + 1), None],
+            };
+            for s in succs.into_iter().flatten() {
                 // live-in of s = (out[s] - defs[s]) + uses[s]
-                let lin = live_in(&f.body[s], &live[s], nregs);
-                for (o, v) in out.iter_mut().zip(lin.iter()) {
+                lin.copy_from_slice(&live[s * nregs..(s + 1) * nregs]);
+                live_in(&f.body[s], &mut lin);
+                for (o, v) in out.iter_mut().zip(&lin) {
                     *o |= *v;
                 }
             }
-            if out != live[i] {
-                live[i] = out;
+            let row = &mut live[i * nregs..(i + 1) * nregs];
+            if *row != *out {
+                row.copy_from_slice(&out);
                 changed_liveness = true;
             }
         }
     }
 
     let mut removed = false;
-    for (ins, live_after) in f.body.iter_mut().zip(&live) {
+    for (i, ins) in f.body.iter_mut().enumerate() {
         let pure_dst = match &*ins {
             Instr::Const { dst, .. }
             | Instr::Mov { dst, .. }
@@ -380,7 +359,7 @@ fn dead_code(f: &mut FuncDef) -> bool {
             _ => None,
         };
         if let Some(d) = pure_dst {
-            if (d as usize) < nregs && !live_after[d as usize] {
+            if (d as usize) < nregs && !live[i * nregs + d as usize] {
                 *ins = Instr::Nop;
                 removed = true;
             }
@@ -392,8 +371,9 @@ fn dead_code(f: &mut FuncDef) -> bool {
     removed
 }
 
-fn live_in(ins: &Instr, live_out: &[bool], nregs: usize) -> Vec<bool> {
-    let mut l = live_out.to_vec();
+/// Turn `l`, the registers live after `ins`, into those live before it.
+fn live_in(ins: &Instr, l: &mut [bool]) {
+    let nregs = l.len();
     // remove defs
     match ins {
         Instr::Const { dst, .. }
@@ -449,7 +429,6 @@ fn live_in(ins: &Instr, live_out: &[bool], nregs: usize) -> Vec<bool> {
         Instr::Ret { value: Some(v) } => use_reg(*v),
         _ => {}
     }
-    l
 }
 
 /// Remove `Nop`s, remapping jump targets.

@@ -38,6 +38,7 @@ use crate::image::{
 use crate::ir::Instr;
 use crate::layout::{FuncMeta, Layout};
 use crate::object::{FuncDef, ObjectFile, SymDef};
+use crate::par::{join, run_indexed};
 
 /// One linker command-line argument.
 #[derive(Debug, Clone)]
@@ -49,7 +50,7 @@ pub enum LinkInput {
 }
 
 /// Linker configuration.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct LinkOptions {
     /// Entry symbol to record in the image (must be a defined function if
     /// given).
@@ -60,6 +61,20 @@ pub struct LinkOptions {
     /// Text-placement strategy. [`Layout::InputOrder`] (the default) keeps
     /// the historical placement byte-for-byte.
     pub layout: Layout,
+    /// Worker threads for a full link: validating and scanning objects,
+    /// resolving function bodies (next to the symbol map) — `0` and `1`
+    /// both mean serial. The image, and the first error reported, are the
+    /// same for every value, so equality ignores this field: changing it
+    /// alone never turns a [`Linked::relink`] into a full link.
+    pub jobs: usize,
+}
+
+impl PartialEq for LinkOptions {
+    fn eq(&self, other: &LinkOptions) -> bool {
+        self.entry == other.entry
+            && self.runtime_symbols == other.runtime_symbols
+            && self.layout == other.layout
+    }
 }
 
 impl LinkOptions {
@@ -69,6 +84,7 @@ impl LinkOptions {
             entry: Some(entry.into()),
             runtime_symbols: runtime.into_iter().collect(),
             layout: Layout::InputOrder,
+            jobs: 1,
         }
     }
 
@@ -132,6 +148,11 @@ impl<'a> Selection<'a> {
 
     fn include(&mut self, obj: &'a ObjectFile, opts: &LinkOptions) -> Result<(), LinkError> {
         obj.validate()?;
+        self.add(obj, opts)
+    }
+
+    /// [`Selection::include`] for an object already validated.
+    fn add(&mut self, obj: &'a ObjectFile, opts: &LinkOptions) -> Result<(), LinkError> {
         let idx = self.included.len() as u32;
         for (si, s) in obj.symbols.iter().enumerate() {
             if !s.is_global_def() {
@@ -248,15 +269,26 @@ impl Placement {
 /// Phase 2: lay out text and data, apply relocations, resolve operands.
 fn layout(sel: &Selection<'_>, opts: &LinkOptions) -> Result<(Image, Placement), LinkError> {
     let included = &sel.included;
+    // --- intrinsic table ---
+    let intrinsics: Vec<String> = opts.runtime_symbols.iter().cloned().collect();
+    let intrinsic_ids: BTreeMap<&str, u32> =
+        intrinsics.iter().enumerate().map(|(i, n)| (n.as_str(), i as u32)).collect();
+
+    // --- per object, on `opts.jobs` workers: function sizes, and where
+    // each undefined entry resolves — the selection's name table (every
+    // non-local definition) or the intrinsics ---
+    let scans =
+        run_indexed(opts.jobs, included.len(), |oi| scan(included[oi], sel, &intrinsic_ids))
+            .into_iter()
+            .collect::<Result<Vec<ObjScan>, LinkError>>()?;
+
     // --- assign text addresses ---
     // Gather candidates in input order, then let the layout strategy pick
     // the placement order. `InputOrder` keeps input order, reproducing the
     // historical images byte-for-byte, and needs no names.
     let mut raw: Vec<(usize, &FuncDef, u64)> = Vec::new();
-    for (oi, obj) in included.iter().enumerate() {
-        for f in &obj.funcs {
-            raw.push((oi, f, f.size_bytes()));
-        }
+    for (oi, (obj, scan)) in included.iter().zip(&scans).enumerate() {
+        raw.extend(obj.funcs.iter().zip(&scan.sizes).map(|(f, &size)| (oi, f, size)));
     }
     let order: Vec<usize> = match &opts.layout {
         Layout::InputOrder => (0..raw.len()).collect(),
@@ -300,39 +332,35 @@ fn layout(sel: &Selection<'_>, opts: &LinkOptions) -> Result<(Image, Placement),
     }
     let heap_base = align_up(data_cursor.max(data_base + 1), 0x1000);
 
-    // --- intrinsic table ---
-    let intrinsics: Vec<String> = opts.runtime_symbols.iter().cloned().collect();
-    let intrinsic_ids: BTreeMap<&str, u32> =
-        intrinsics.iter().enumerate().map(|(i, n)| (n.as_str(), i as u32)).collect();
-
-    // --- undefined entries: resolve via the selection's name table (every
-    // non-local definition) or the intrinsics ---
-    for (oi, obj) in included.iter().enumerate() {
-        for (si, s) in obj.symbols.iter().enumerate() {
-            if s.def == SymDef::Undefined {
-                tables[oi][si] = match sel.names.get(s.name.as_str()) {
-                    Some(&Slot::Defined { obj, sym }) => tables[obj as usize][sym as usize],
-                    _ => match intrinsic_ids.get(s.name.as_str()) {
-                        Some(id) => Resolved::Intrinsic(*id),
-                        // Selection guarantees this cannot happen
-                        None => {
-                            return Err(LinkError::UndefinedReference {
-                                name: s.name.clone(),
-                                referenced_from: vec![obj.name.clone()],
-                            })
-                        }
-                    },
-                };
-            }
+    // --- undefined entries take their definition's resolution ---
+    for (oi, scan) in scans.iter().enumerate() {
+        for &(si, target) in &scan.undefined {
+            tables[oi][si as usize] = match target {
+                Target::Def { obj, sym } => tables[obj as usize][sym as usize],
+                Target::Intrinsic(id) => Resolved::Intrinsic(id),
+            };
         }
     }
     let placement = Placement { tables, func_addrs };
 
-    // --- build image functions with resolved bodies ---
-    let mut funcs: Vec<Arc<ImageFunc>> = Vec::with_capacity(slots.len());
-    for (fi, &(oi, def)) in slots.iter().enumerate() {
-        funcs.push(Arc::new(resolve_func(included[oi], def, fi, oi, &placement)?));
-    }
+    // --- build image functions with resolved bodies, on `opts.jobs`
+    // workers; collected in placement order, so the first error is the
+    // serial one (boxed meanwhile, keeping the per-function results
+    // small). The symbol map is made next to them. ---
+    let (symbols, funcs) = join(
+        opts.jobs,
+        || symbol_map(sel, &placement),
+        || {
+            run_indexed(opts.jobs, slots.len(), |fi| {
+                let (oi, def) = slots[fi];
+                resolve_func(included[oi], def, fi, oi, &placement).map(Arc::new).map_err(Box::new)
+            })
+        },
+    );
+    let funcs = funcs
+        .into_iter()
+        .collect::<Result<Vec<Arc<ImageFunc>>, Box<LinkError>>>()
+        .map_err(|e| *e)?;
 
     // --- build and relocate the data segment ---
     let mut data = vec![0u8; (data_cursor - data_base) as usize];
@@ -340,21 +368,7 @@ fn layout(sel: &Selection<'_>, opts: &LinkOptions) -> Result<(Image, Placement),
         write_data(&mut data, data_base, obj, oi, &placement);
     }
 
-    // --- symbol map (from a name-sorted list) and entry ---
-    let mut defs: Vec<(&str, SymbolLoc)> = Vec::with_capacity(sel.names.len());
-    for (name, slot) in &sel.names {
-        if let Slot::Defined { obj, sym } = *slot {
-            let loc = match placement.tables[obj as usize][sym as usize] {
-                Resolved::Func(fi) => SymbolLoc::Func(fi),
-                Resolved::Data(a) => SymbolLoc::Data(a),
-                Resolved::Intrinsic(_) => continue,
-            };
-            defs.push((name, loc));
-        }
-    }
-    defs.sort_unstable_by_key(|d| d.0);
-    let symbols: BTreeMap<String, SymbolLoc> =
-        defs.into_iter().map(|(name, loc)| (name.to_string(), loc)).collect();
+    // --- entry ---
     let entry = match &opts.entry {
         Some(name) => match symbols.get(name) {
             Some(SymbolLoc::Func(fi)) => Some(*fi),
@@ -378,6 +392,71 @@ fn layout(sel: &Selection<'_>, opts: &LinkOptions) -> Result<(Image, Placement),
         entry,
     };
     Ok((image, placement))
+}
+
+/// The image's symbol map: every name the selection defines, by where it
+/// was placed (built from a name-sorted list).
+fn symbol_map(sel: &Selection<'_>, placement: &Placement) -> BTreeMap<String, SymbolLoc> {
+    let mut defs: Vec<(&str, SymbolLoc)> = Vec::with_capacity(sel.names.len());
+    for (name, slot) in &sel.names {
+        if let Slot::Defined { obj, sym } = *slot {
+            let loc = match placement.tables[obj as usize][sym as usize] {
+                Resolved::Func(fi) => SymbolLoc::Func(fi),
+                Resolved::Data(a) => SymbolLoc::Data(a),
+                Resolved::Intrinsic(_) => continue,
+            };
+            defs.push((name, loc));
+        }
+    }
+    defs.sort_unstable_by_key(|d| d.0);
+    defs.into_iter().map(|(name, loc)| (name.to_string(), loc)).collect()
+}
+
+/// Where an undefined symbol-table entry resolves.
+#[derive(Debug, Clone, Copy)]
+enum Target {
+    /// Entry `sym` of included object `obj` defines the name.
+    Def { obj: u32, sym: u32 },
+    /// The runtime provides the name, as this intrinsic.
+    Intrinsic(u32),
+}
+
+/// What [`layout`] needs of one included object before it places
+/// anything.
+struct ObjScan {
+    /// Encoded size of each function, in `funcs` order.
+    sizes: Vec<u64>,
+    /// `(symbol-table entry, target)` of each undefined entry.
+    undefined: Vec<(u32, Target)>,
+}
+
+/// Scan included object `obj` for [`layout`].
+fn scan(
+    obj: &ObjectFile,
+    sel: &Selection<'_>,
+    intrinsic_ids: &BTreeMap<&str, u32>,
+) -> Result<ObjScan, LinkError> {
+    let mut undefined = Vec::new();
+    for (si, s) in obj.symbols.iter().enumerate() {
+        if s.def != SymDef::Undefined {
+            continue;
+        }
+        let target = match sel.names.get(s.name.as_str()) {
+            Some(&Slot::Defined { obj, sym }) => Target::Def { obj, sym },
+            _ => match intrinsic_ids.get(s.name.as_str()) {
+                Some(&id) => Target::Intrinsic(id),
+                // Selection guarantees this cannot happen
+                None => {
+                    return Err(LinkError::UndefinedReference {
+                        name: s.name.clone(),
+                        referenced_from: vec![obj.name.clone()],
+                    })
+                }
+            },
+        };
+        undefined.push((si as u32, target));
+    }
+    Ok(ObjScan { sizes: obj.funcs.iter().map(FuncDef::size_bytes).collect(), undefined })
 }
 
 /// Resolve function `def` of object `oi` (`obj`), placed as image function
@@ -513,9 +592,15 @@ pub struct Linked {
 impl Linked {
     /// Link `objects`, all explicitly included, in order.
     pub fn link(objects: Vec<Arc<ObjectFile>>, opts: &LinkOptions) -> Result<Linked, LinkError> {
+        // Validate on `opts.jobs` workers; an invalid object still reports
+        // only once every earlier one is added, as `include` would.
+        let invalid = run_indexed(opts.jobs, objects.len(), |i| objects[i].validate().err());
         let mut sel = Selection::with_capacity(objects.iter().map(|o| o.symbols.len()).sum());
-        for o in &objects {
-            sel.include(o, opts)?;
+        for (o, invalid) in objects.iter().zip(invalid) {
+            if let Some(e) = invalid {
+                return Err(e.into());
+            }
+            sel.add(o, opts)?;
         }
         let (image, placement) = layout(&sel.finish()?, opts)?;
         Ok(Linked { image, objects, opts: opts.clone(), placement })

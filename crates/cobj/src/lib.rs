@@ -22,6 +22,7 @@
 //!   reproduction of the "bag of objects" semantics, including its inability
 //!   to express interposition (Figure 1c).
 //! * [`fnv`] — the FNV-1a hasher behind every hot string-keyed table.
+//! * [`par`] — deterministic index-ordered fan-out over scoped threads.
 //! * [`image`] — fully linked, relocated program images with a byte-accurate
 //!   text layout, executed by the `machine` crate.
 
@@ -34,6 +35,7 @@ pub mod layout;
 pub mod ld;
 pub mod objcopy;
 pub mod object;
+pub mod par;
 
 pub use archive::Archive;
 pub use error::{LinkError, ObjectError};

@@ -27,7 +27,6 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -63,11 +62,18 @@ pub struct BuildOptions {
     /// Names the runtime provides (undefined references to these become
     /// intrinsics; see `machine::runtime_symbols`).
     pub runtime_symbols: BTreeSet<String>,
-    /// Maximum concurrent unit compilations (also bounds flatten-group
-    /// recompiles). Defaults to the host's available parallelism; `1` gives
-    /// a strictly serial build. Parallelism never changes the produced
-    /// image: results are merged in deterministic unit order, so symbol
-    /// mangling and link order are identical for every `jobs` value.
+    /// Worker threads for the per-unit and per-instance work of a build:
+    /// unit compiles, rename plans, per-instance stamping and objcopy,
+    /// flatten-group recompiles, and the link's per-object validation and
+    /// symbol scan and per-function resolution (and, through
+    /// [`Program::load_many`], parsing `.unit` files). With more than one
+    /// worker the constraint check also runs next to the schedule.
+    /// Elaborate and boot-object generation stay serial. Defaults to the
+    /// host's available parallelism; `1` gives a strictly serial build.
+    /// Parallelism never changes the produced image or the error reported:
+    /// results are merged in unit, instance or pipeline order, so symbol
+    /// mangling, link order and the first error are identical for every
+    /// `jobs` value.
     pub jobs: usize,
     /// Execution profile driving the linker's profile-guided code layout
     /// (Pettis–Hansen-style hot/cold placement; see `cobj::layout`).
@@ -130,7 +136,7 @@ impl BuildOptionsBuilder {
         self
     }
 
-    /// Maximum concurrent unit compilations ([`BuildOptions::jobs`]).
+    /// Worker threads for the build ([`BuildOptions::jobs`]).
     #[must_use]
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.opts.jobs = jobs;
@@ -309,46 +315,8 @@ pub fn build(
     )
 }
 
-/// Run `task(0..n)` on up to `jobs` scoped worker threads and return the
-/// results in index order. With `jobs <= 1` (or a single task) everything
-/// runs inline on the caller's thread — the serial baseline pays no thread
-/// overhead. Results are merged by index, so callers observe a
-/// deterministic order regardless of scheduling.
-pub(crate) fn run_indexed<T, F>(jobs: usize, n: usize, task: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = jobs.max(1).min(n);
-    if workers <= 1 {
-        return (0..n).map(task).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut local: Vec<(usize, T)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, task(i)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            for (i, v) in h.join().expect("compile worker panicked") {
-                slots[i] = Some(v);
-            }
-        }
-    });
-    slots.into_iter().map(|v| v.expect("every index produced")).collect()
-}
+/// Fan-out helpers, results in a fixed order (see [`cobj::par`]).
+pub(crate) use cobj::par::{join, run_indexed};
 
 /// Compile options for flattened groups: always optimize (that is the
 /// point), with a generous inline budget.
@@ -363,8 +331,9 @@ pub(crate) fn flatten_opts(opts: &BuildOptions) -> CompileOptions {
 /// [`BuildCache`], by every later build of the same content.
 #[derive(Debug)]
 pub struct CompiledUnit {
-    /// Parsed translation units (for flattening).
-    pub(crate) tus: Vec<cmini::ast::TranslationUnit>,
+    /// Whether any file is a C source: only those units can be flattened
+    /// (their translation units are parsed again then, see [`unit_tus`]).
+    pub(crate) has_sources: bool,
     /// Compiled objects, one per source file.
     pub(crate) objects: Vec<ObjectFile>,
     /// All link-visible names defined across the objects.
@@ -528,7 +497,7 @@ pub(crate) fn compile_unit_cached(
     }
 
     // --- miss: run the compiler over the preprocessed inputs ---
-    let mut tus = Vec::new();
+    let mut has_sources = false;
     let mut objects = Vec::new();
     let mut defined = BTreeSet::new();
     let mut undefined = BTreeSet::new();
@@ -542,10 +511,8 @@ pub(crate) fn compile_unit_cached(
                 obj.clone()
             }
             FileInput::Source { file, expanded } => {
-                let tu = cmini::frontend_expanded(file, &expanded)?;
-                let obj = cmini::backend(tu.clone(), &inputs.copts)?;
-                tus.push(tu);
-                obj
+                has_sources = true;
+                cmini::backend(cmini::frontend_expanded(file, &expanded)?, &inputs.copts)?
             }
         };
         defined.extend(obj.exported_names().iter().map(|s| s.to_string()));
@@ -554,9 +521,29 @@ pub(crate) fn compile_unit_cached(
     }
     // cross-file references inside the unit are not "undefined"
     undefined.retain(|n| !defined.contains(n));
-    let cu = Arc::new(CompiledUnit { tus, objects, defined, undefined });
+    let cu = Arc::new(CompiledUnit { has_sources, objects, defined, undefined });
     cache.insert(key, Arc::clone(&cu));
     Ok(UnitBuild { cu, key, cache_hit: false, reads })
+}
+
+/// The translation units of `unit_name`'s C sources, for flattening. A
+/// compiled unit keeps only its objects, so the few units in a flatten
+/// group run the front end again: on the same preprocessed text as their
+/// compile (the group's fingerprint covers the unit's content key), hence
+/// the same ASTs.
+pub(crate) fn unit_tus(
+    program: &Program,
+    tree: &SourceTree,
+    unit_name: &str,
+    opts: &BuildOptions,
+) -> Result<Vec<cmini::ast::TranslationUnit>, KnitError> {
+    let mut tus = Vec::new();
+    for input in read_unit(program, tree, unit_name, opts)?.files {
+        if let FileInput::Source { file, expanded } = input {
+            tus.push(cmini::frontend_expanded(file, &expanded)?);
+        }
+    }
+    Ok(tus)
 }
 
 pub(crate) fn atomic_body(unit: &UnitDecl) -> &AtomicBody {

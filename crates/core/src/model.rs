@@ -206,6 +206,17 @@ impl UnitSyms {
     }
 }
 
+/// The interned symbol tables of `kf`'s unit declarations, in order.
+fn file_syms(kf: &KnitFile) -> Vec<UnitSyms> {
+    kf.decls
+        .iter()
+        .filter_map(|d| match d {
+            Decl::Unit(u) => Some(UnitSyms::build(u, &kf.file)),
+            _ => None,
+        })
+        .collect()
+}
+
 impl Program {
     /// An empty program.
     pub fn new() -> Program {
@@ -218,17 +229,24 @@ impl Program {
         self.register(kf)
     }
 
-    /// Parse many `.unit` sources on up to `jobs` scoped threads, then
-    /// register them serially in input order. Equivalent to calling
-    /// [`Program::load_str`] on each `(file, src)` pair in order — same
-    /// declarations, same first error — but parsing (the dominant cost on
-    /// large corpora) runs in parallel with a deterministic merge.
+    /// Parse many `.unit` sources and intern their units' names on up to
+    /// `jobs` scoped threads, then register them serially in input order.
+    /// Equivalent to calling [`Program::load_str`] on each `(file, src)`
+    /// pair in order — same declarations, same first error — but parsing
+    /// and interning (the dominant costs on large corpora) run in parallel
+    /// with a deterministic merge.
     pub fn load_many(&mut self, files: &[(String, String)], jobs: usize) -> Result<(), KnitError> {
         let parsed = crate::driver::run_indexed(jobs, files.len(), |i| {
             knit_lang::parse(&files[i].0, &files[i].1)
         });
-        for kf in parsed {
-            self.register(kf?)?;
+        // A second pass, so the symbol tables do not interleave with the
+        // ASTs in memory: every later fingerprint walks the ASTs.
+        let syms = crate::driver::run_indexed(jobs, parsed.len(), |i| match &parsed[i] {
+            Ok(kf) => file_syms(kf),
+            Err(_) => Vec::new(),
+        });
+        for (kf, syms) in parsed.into_iter().zip(syms) {
+            self.register_impl(kf?, false, syms)?;
         }
         Ok(())
     }
@@ -244,7 +262,8 @@ impl Program {
     /// Register a parsed file's declarations. Names that already exist are
     /// duplicate errors.
     pub fn register(&mut self, kf: KnitFile) -> Result<(), KnitError> {
-        self.register_impl(kf, false)
+        let syms = file_syms(&kf);
+        self.register_impl(kf, false, syms)
     }
 
     /// Re-register a parsed file's declarations, replacing same-named
@@ -257,7 +276,8 @@ impl Program {
     /// program is left unchanged.
     pub fn redefine(&mut self, kf: KnitFile) -> Result<(), KnitError> {
         let mut next = self.clone();
-        next.register_impl(kf, true)?;
+        let syms = file_syms(&kf);
+        next.register_impl(kf, true, syms)?;
         for u in next.units.values() {
             next.validate_unit(u)?;
         }
@@ -265,8 +285,16 @@ impl Program {
         Ok(())
     }
 
-    fn register_impl(&mut self, kf: KnitFile, replace: bool) -> Result<(), KnitError> {
+    /// Register `kf`'s declarations; `syms` holds [`file_syms`] of `kf`,
+    /// one table per unit declaration in order.
+    fn register_impl(
+        &mut self,
+        kf: KnitFile,
+        replace: bool,
+        syms: Vec<UnitSyms>,
+    ) -> Result<(), KnitError> {
         let file = kf.file.clone();
+        let mut syms = syms.into_iter();
         let mut current_property: Option<String> = None;
         for d in kf.decls {
             match d {
@@ -276,7 +304,7 @@ impl Program {
                     }
                     let mut seen = BTreeSet::new();
                     for m in &b.members {
-                        if !seen.insert(m.clone()) {
+                        if !seen.insert(m.as_str()) {
                             return Err(KnitError::Duplicate {
                                 kind: "bundle member",
                                 name: format!("{}.{}", b.name, m),
@@ -319,12 +347,13 @@ impl Program {
                     self.value_property.insert(v.name, prop);
                 }
                 Decl::Unit(u) => {
+                    let unit_syms = syms.next().expect("one symbol table per unit");
                     if !replace && self.units.contains_key(&u.name) {
                         return Err(KnitError::Duplicate { kind: "unit", name: u.name });
                     }
                     self.validate_unit(&u)?;
                     self.unit_sites.insert(u.name.clone(), (file.clone(), u.span));
-                    self.syms.insert(u.name.clone(), UnitSyms::build(&u, &file));
+                    self.syms.insert(u.name.clone(), unit_syms);
                     self.units.insert(u.name.clone(), *u);
                 }
             }

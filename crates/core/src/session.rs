@@ -40,9 +40,9 @@ use crate::analyze::{self, AnalysisMemo, AnalysisReport, LintConfig};
 use crate::cache::{BuildCache, StableHasher};
 use crate::constraints::{self, ConstraintReport};
 use crate::driver::{
-    atomic_body, boot_object, compile_unit_cached, flatten_opts, group_externals, rename_plan,
-    root_exports_map, run_indexed, unit_flags, BuildOptions, BuildReport, BuildStats, CompiledUnit,
-    InstanceSyms, RenamePlan, UnitCompile,
+    atomic_body, boot_object, compile_unit_cached, flatten_opts, group_externals, join,
+    rename_plan, root_exports_map, run_indexed, unit_flags, unit_tus, BuildOptions, BuildReport,
+    BuildStats, CompiledUnit, InstanceSyms, RenamePlan, UnitCompile,
 };
 use crate::elaborate::{elaborate, Elaboration};
 use crate::error::KnitError;
@@ -140,6 +140,12 @@ struct MapMemo {
     /// flatten fingerprints hash this instead of the names.
     hash: u64,
 }
+
+/// One instance's symbol surgery in a build: its newly stamped names
+/// (`None`: the memoized ones still hold) and, unless the instance is
+/// flattened, its objcopy fingerprint and newly renamed objects (`None`:
+/// the memoized ones still hold).
+type Surgery = (Option<MapMemo>, Option<(u64, Option<Vec<Arc<ObjectFile>>>)>);
 
 /// Memoized per-phase artifacts of the previous build. Every entry is
 /// keyed by a fingerprint of that phase's complete input; `run_build`
@@ -426,20 +432,21 @@ fn fp_options(opts: &BuildOptions) -> u64 {
 // ---------------------------------------------------------------------------
 
 impl UnitMemo {
-    /// Unit `name`'s rename plan: the memoized one when it was made under
-    /// the same elaboration and schedule fingerprints (`fps`), else a new
-    /// one, memoized in turn. An unbound-symbol error blames
-    /// `first_instance`, the unit's first instance.
+    /// Unit `name`'s rename plan and whether it is new: the memoized one
+    /// when it was made under the same elaboration and schedule
+    /// fingerprints (`fps`), else a new one for the caller to memoize. An
+    /// unbound-symbol error blames `first_instance`, the unit's first
+    /// instance.
     fn plan(
-        &mut self,
+        &self,
         program: &Program,
         name: &str,
         first_instance: &str,
         fps: [u64; 2],
-    ) -> Result<Arc<RenamePlan>, KnitError> {
+    ) -> Result<(Arc<RenamePlan>, bool), KnitError> {
         if let Some((made, plan)) = &self.plan {
             if *made == fps {
-                return Ok(Arc::clone(plan));
+                return Ok((Arc::clone(plan), false));
             }
         }
         let plan =
@@ -449,10 +456,27 @@ impl UnitMemo {
                     None => e,
                 }
             })?;
-        let plan = Arc::new(plan);
-        self.plan = Some((fps, Arc::clone(&plan)));
-        Ok(plan)
+        Ok((Arc::new(plan), true))
     }
+}
+
+/// Instance `path` (of unit `unit`)'s copies of its unit's compiled
+/// objects, renamed by `syms` and named after the instance.
+fn objcopy_instance(
+    cu: &CompiledUnit,
+    path: &str,
+    unit: &str,
+    syms: &InstanceSyms,
+) -> Result<Vec<Arc<ObjectFile>>, KnitError> {
+    let mut objs = Vec::with_capacity(cu.objects.len());
+    for (j, obj) in cu.objects.iter().enumerate() {
+        let mut renamed = cobj::objcopy::rename(obj, &syms.renames(j)).map_err(|e| {
+            KnitError::BadDeclaration { unit: unit.to_string(), what: format!("objcopy: {e}") }
+        })?;
+        renamed.name = format!("{path}:{}", obj.name);
+        objs.push(Arc::new(renamed));
+    }
+    Ok(objs)
 }
 
 impl Memo {
@@ -487,17 +511,51 @@ impl Memo {
         el_fp: u64,
         count: &mut PhaseCount,
     ) -> Result<(u64, Arc<Schedule>), KnitError> {
-        let fp = fp_schedule(program, el, el_fp);
-        if let Some((memo_fp, s)) = &self.schedule {
-            if *memo_fp == fp {
+        let step = find_schedule(&self.schedule, program, el, el_fp);
+        self.commit_schedule(step, count)
+    }
+
+    /// Count and memoize a [`find_schedule`] result.
+    fn commit_schedule(
+        &mut self,
+        step: Result<ScheduleStep, KnitError>,
+        count: &mut PhaseCount,
+    ) -> Result<(u64, Arc<Schedule>), KnitError> {
+        match step {
+            Ok((fp, true, s)) => {
+                count.runs += 1;
+                self.schedule = Some((fp, Arc::clone(&s)));
+                Ok((fp, s))
+            }
+            Ok((fp, false, s)) => {
                 count.reuses += 1;
-                return Ok((fp, Arc::clone(s)));
+                Ok((fp, s))
+            }
+            Err(e) => {
+                count.runs += 1;
+                Err(e)
             }
         }
-        count.runs += 1;
-        let s = Arc::new(sched::schedule(program, el)?);
-        self.schedule = Some((fp, Arc::clone(&s)));
-        Ok((fp, s))
+    }
+}
+
+/// A schedule, its fingerprint, and whether it was made anew (`true`) or
+/// is the memoized one.
+type ScheduleStep = (u64, bool, Arc<Schedule>);
+
+/// The schedule of `el` (fingerprinted `el_fp`): `memo`'s when the
+/// fingerprint matches, else a new one. Writes nothing, so it can run next
+/// to other phases.
+fn find_schedule(
+    memo: &Option<(u64, Arc<Schedule>)>,
+    program: &Program,
+    el: &Elaboration,
+    el_fp: u64,
+) -> Result<ScheduleStep, KnitError> {
+    let fp = fp_schedule(program, el, el_fp);
+    match memo {
+        Some((memo_fp, s)) if *memo_fp == fp => Ok((fp, false, Arc::clone(s))),
+        _ => sched::schedule(program, el).map(|s| (fp, true, Arc::new(s))),
     }
 }
 
@@ -552,29 +610,53 @@ pub(crate) fn run_build(
     let (el_fp, el) = memo.elaboration(program, &opts.root, &mut stats.elaborate)?;
     phase!("elaborate");
 
-    // --- constraints ---
-    let c_fp = fp_constraints(program, el_fp, opts);
-    let constraint_report = match &memo.constraints {
-        Some((fp, rep)) if *fp == c_fp => {
-            stats.constraints.reuses += 1;
-            rep.clone()
-        }
-        _ => {
-            let rep = if opts.check_constraints {
-                stats.constraints.runs += 1;
-                Some(constraints::check(program, &el)?)
-            } else {
-                None
+    // --- constraints and schedule ---
+    // Independent of each other, so each is fingerprinted and, on a memo
+    // miss, worked out — concurrently when `opts.jobs > 1`, writing
+    // nothing — then both are committed in pipeline order: a constraint
+    // error still wins, and stats and memos are what the serial steps
+    // leave.
+    let (c_memo, s_memo) = (&memo.constraints, &memo.schedule);
+    let ((c_step, c_took), s_step) = join(
+        opts.jobs,
+        || {
+            let start = Instant::now();
+            let c_fp = fp_constraints(program, el_fp, opts);
+            let step = match c_memo {
+                Some((fp, rep)) if *fp == c_fp => Ok((c_fp, false, rep.clone())),
+                _ if opts.check_constraints => {
+                    constraints::check(program, &el).map(|rep| (c_fp, true, Some(rep)))
+                }
+                _ => Ok((c_fp, true, None)),
             };
+            (step, start.elapsed())
+        },
+        || find_schedule(s_memo, program, &el, el_fp),
+    );
+    let constraint_report = match c_step {
+        Ok((c_fp, true, rep)) => {
+            if opts.check_constraints {
+                stats.constraints.runs += 1;
+            }
             memo.constraints = Some((c_fp, rep.clone()));
             rep
         }
+        Ok((_, false, rep)) => {
+            stats.constraints.reuses += 1;
+            rep
+        }
+        Err(e) => {
+            stats.constraints.runs += 1;
+            return Err(e);
+        }
     };
-    phase!("constraints");
-
-    // --- schedule ---
-    let (s_fp, schedule) = memo.schedule(program, &el, el_fp, &mut stats.schedule)?;
-    phase!("schedule");
+    let (s_fp, schedule) = memo.commit_schedule(s_step, &mut stats.schedule)?;
+    // The constraints phase is its own step's time; the schedule phase is
+    // the rest, which overlaps it when the two ran concurrently.
+    let both = timer.elapsed();
+    phases.push(("constraints", c_took.min(both)));
+    phases.push(("schedule", both.saturating_sub(c_took)));
+    timer = Instant::now();
 
     // --- compile each distinct unit once (instances share the result) ---
     // A memoized unit is reused iff its declaration fingerprint matches
@@ -669,7 +751,7 @@ pub(crate) fn run_build(
             .iter()
             .flatten()
             .copied()
-            .filter(|&id| !compiled[unit_ix[id]].tus.is_empty())
+            .filter(|&id| compiled[unit_ix[id]].has_sources)
             .collect()
     } else {
         BTreeSet::new()
@@ -683,19 +765,29 @@ pub(crate) fn run_build(
             stale[unit_ix[id]] = true;
         }
     }
-    // Plans of the units with a stale instance, in unit-name order. The
-    // error reported is that of the failing unit instantiated first.
+    // Plans of the units with a stale instance, on `opts.jobs` workers and
+    // merged in unit-name order. The error reported is that of the failing
+    // unit instantiated first.
+    let first_ids: Vec<usize> = el.by_unit.values().map(|ids| ids[0]).collect();
+    let stale_units: Vec<usize> = (0..distinct.len()).filter(|&u| stale[u]).collect();
+    let planned = run_indexed(opts.jobs, stale_units.len(), |i| {
+        let (u, name) = (stale_units[i], distinct[stale_units[i]]);
+        let first_instance = &el.instances[first_ids[u]].path;
+        memo.units[name].plan(program, name, first_instance, [el_fp, s_fp])
+    });
     let mut plans: Vec<Option<Arc<RenamePlan>>> = vec![None; distinct.len()];
     let mut failed: Option<(usize, KnitError)> = None;
-    for ((u, ids), &name) in el.by_unit.values().enumerate().zip(&distinct) {
-        if !stale[u] {
-            continue;
-        }
-        let unit_memo = memo.units.get_mut(name).expect("compiled above");
-        match unit_memo.plan(program, name, &el.instances[ids[0]].path, [el_fp, s_fp]) {
-            Ok(plan) => plans[u] = Some(plan),
-            Err(e) if failed.as_ref().is_none_or(|(first, _)| ids[0] < *first) => {
-                failed = Some((ids[0], e));
+    for (&u, result) in stale_units.iter().zip(planned) {
+        match result {
+            Ok((plan, fresh)) => {
+                if fresh {
+                    let unit_memo = memo.units.get_mut(distinct[u]).expect("compiled above");
+                    unit_memo.plan = Some(([el_fp, s_fp], Arc::clone(&plan)));
+                }
+                plans[u] = Some(plan);
+            }
+            Err(e) if failed.as_ref().is_none_or(|(first, _)| first_ids[u] < *first) => {
+                failed = Some((first_ids[u], e));
             }
             Err(_) => {}
         }
@@ -703,24 +795,23 @@ pub(crate) fn run_build(
     if let Some((_, e)) = failed {
         return Err(e);
     }
-    // Stamp and objcopy in instance order, the link's input order.
-    let mut maps: Vec<Arc<InstanceSyms>> = Vec::with_capacity(el.instances.len());
-    let mut map_hashes: Vec<u64> = Vec::with_capacity(el.instances.len());
-    let mut linked_objects: Vec<Arc<ObjectFile>> = Vec::with_capacity(el.instances.len());
-    let mut objcopy_fps: Vec<(usize, u64)> = Vec::with_capacity(el.instances.len());
-    for inst in &el.instances {
-        let (id, u) = (inst.id, unit_ix[inst.id]);
+    // Stamp and objcopy every instance on `opts.jobs` workers, reading the
+    // memo, then merge in instance order (the link's input order),
+    // memoizing what ran.
+    let surgery = run_indexed(opts.jobs, el.instances.len(), |id| -> Result<Surgery, KnitError> {
+        let (inst, u) = (&el.instances[id], unit_ix[id]);
         let key = map_key(id);
-        if !matches!(&memo.maps[id], Some(m) if m.key == key) {
-            let syms = InstanceSyms::stamp(plans[u].as_ref().expect("planned above"), &el, id);
-            memo.maps[id] = Some(MapMemo { key, hash: syms.hash(), syms: Arc::new(syms) });
-        }
-        let m = memo.maps[id].as_ref().expect("stamped above");
-        maps.push(Arc::clone(&m.syms));
-        map_hashes.push(m.hash);
+        let stamped = match &memo.maps[id] {
+            Some(m) if m.key == key => None,
+            _ => {
+                let syms = InstanceSyms::stamp(plans[u].as_ref().expect("planned above"), &el, id);
+                Some(MapMemo { key, hash: syms.hash(), syms: Arc::new(syms) })
+            }
+        };
         if flattened.contains(&id) {
-            continue;
+            return Ok((stamped, None));
         }
+        let m = stamped.as_ref().or(memo.maps[id].as_ref()).expect("stamped or memoized");
         let fp = {
             let mut h = StableHasher::new();
             h.write_str("objcopy");
@@ -729,26 +820,33 @@ pub(crate) fn run_build(
             h.write_u64(m.hash);
             h.finish()
         };
-        match &memo.objcopy[id] {
-            Some((f, objs)) if *f == fp => {
+        let copied = match &memo.objcopy[id] {
+            Some((f, _)) if *f == fp => None,
+            _ => Some(objcopy_instance(&compiled[u], &inst.path, &inst.unit, &m.syms)?),
+        };
+        Ok((stamped, Some((fp, copied))))
+    });
+    let mut maps: Vec<Arc<InstanceSyms>> = Vec::with_capacity(el.instances.len());
+    let mut map_hashes: Vec<u64> = Vec::with_capacity(el.instances.len());
+    let mut linked_objects: Vec<Arc<ObjectFile>> = Vec::with_capacity(el.instances.len());
+    let mut objcopy_fps: Vec<(usize, u64)> = Vec::with_capacity(el.instances.len());
+    for (id, result) in surgery.into_iter().enumerate() {
+        let (stamped, objcopy) = result?;
+        if stamped.is_some() {
+            memo.maps[id] = stamped;
+        }
+        let m = memo.maps[id].as_ref().expect("stamped above");
+        maps.push(Arc::clone(&m.syms));
+        map_hashes.push(m.hash);
+        let Some((fp, copied)) = objcopy else { continue };
+        match copied {
+            None => {
                 stats.objcopy.reuses += 1;
+                let (_, objs) = memo.objcopy[id].as_ref().expect("memoized");
                 linked_objects.extend(objs.iter().cloned());
             }
-            _ => {
+            Some(objs) => {
                 stats.objcopy.runs += 1;
-                let cu = &compiled[u];
-                let mut objs: Vec<Arc<ObjectFile>> = Vec::with_capacity(cu.objects.len());
-                for (j, obj) in cu.objects.iter().enumerate() {
-                    let mut renamed =
-                        cobj::objcopy::rename(obj, &m.syms.renames(j)).map_err(|e| {
-                            KnitError::BadDeclaration {
-                                unit: inst.unit.to_string(),
-                                what: format!("objcopy: {e}"),
-                            }
-                        })?;
-                    renamed.name = format!("{}:{}", inst.path, obj.name);
-                    objs.push(Arc::new(renamed));
-                }
                 linked_objects.extend(objs.iter().cloned());
                 memo.objcopy[id] = Some((fp, objs));
             }
@@ -762,11 +860,11 @@ pub(crate) fn run_build(
     let mut group_fps: Vec<(usize, u64)> = Vec::new();
     if opts.flatten {
         let copts = flatten_opts(opts);
-        // Decide reuse per group (gathering inputs — which clones every
-        // member's translation units — only for the misses), then recompile
-        // the missed groups concurrently and splice everything back in
-        // group order so link order never depends on cache warmth.
-        let mut pending: Vec<(usize, Vec<flatten::FlattenInput>, BTreeSet<String>)> = Vec::new();
+        // Decide reuse per group, then recompile the missed groups
+        // concurrently (each parsing its members' sources again) and splice
+        // everything back in group order so link order never depends on
+        // cache warmth.
+        let mut pending: Vec<(usize, BTreeSet<usize>, BTreeSet<String>)> = Vec::new();
         let mut order: Vec<(usize, u64, Option<Arc<ObjectFile>>)> = Vec::new();
         for (gi, group) in el.flatten_groups.iter().enumerate() {
             let group_set: BTreeSet<usize> =
@@ -802,22 +900,22 @@ pub(crate) fn run_build(
                 }
                 _ => {
                     stats.flatten.runs += 1;
-                    let mut inputs = Vec::new();
-                    for &id in &group_set {
-                        inputs.push(flatten::FlattenInput {
-                            tag: format!("k{id}"),
-                            tus: compiled[unit_ix[id]].tus.clone(),
-                            symbol_map: maps[id].to_map(),
-                        });
-                    }
                     order.push((gi, fp, None));
-                    pending.push((gi, inputs, external));
+                    pending.push((gi, group_set, external));
                 }
             }
         }
         let flat_results = run_indexed(opts.jobs, pending.len(), |i| {
-            let (gi, inputs, external) = &pending[i];
-            flatten::flatten_group(&format!("flat{gi}"), inputs, &copts, external)
+            let (gi, group_set, external) = &pending[i];
+            let mut inputs = Vec::with_capacity(group_set.len());
+            for &id in group_set {
+                inputs.push(flatten::FlattenInput {
+                    tag: format!("k{id}"),
+                    tus: unit_tus(program, tree, &el.instances[id].unit, opts)?,
+                    symbol_map: maps[id].to_map(),
+                });
+            }
+            flatten::flatten_group(&format!("flat{gi}"), &inputs, &copts, external)
                 .map_err(KnitError::Compile)
         });
         let mut flat_iter = flat_results.into_iter();
@@ -932,6 +1030,7 @@ pub(crate) fn run_build(
                 entry: Some("__start".to_string()),
                 runtime_symbols: opts.runtime_symbols.clone(),
                 layout,
+                jobs: opts.jobs,
             };
             match prev {
                 Some((fp, linked)) => {

@@ -436,8 +436,9 @@ fn build_report_phases_and_exports() {
     assert_eq!(r, 300);
 }
 
-#[test]
-fn constraint_violation_blocks_build() {
+/// A program whose `Irq` calls the blocking `Blocking` from interrupt
+/// context (and whose `i.c` also needs a rename to compile).
+fn constraint_violation_setup() -> (Program, SourceTree) {
     let mut p = Program::new();
     p.load_str(
         "ctx.unit",
@@ -467,6 +468,12 @@ fn constraint_violation_blocks_build() {
     let mut t = SourceTree::new();
     t.add("b.c", "int f() { return 1; }");
     t.add("i.c", "int inner();\nint f() { return inner(); }");
+    (p, t)
+}
+
+#[test]
+fn constraint_violation_blocks_build() {
+    let (p, t) = constraint_violation_setup();
     // note: i.c's import would need a rename to compile; the constraint
     // check runs first and must reject the configuration before compiling.
     let mut opts = BuildOptions::new("Sys", runtime());
@@ -477,6 +484,32 @@ fn constraint_violation_blocks_build() {
     opts.check_constraints = false;
     let err2 = build(&p, &t, &opts).unwrap_err();
     assert!(!matches!(err2.root(), knit::KnitError::ConstraintViolation { .. }));
+}
+
+/// With more than one job the constraint check runs next to the
+/// schedule; the violation still wins, with the same message, and the
+/// session counts and memoizes exactly what the serial order does.
+#[test]
+fn constraint_violation_is_the_same_for_every_jobs() {
+    let (p, t) = constraint_violation_setup();
+    let outcomes: Vec<(String, knit::SessionStats)> = [1usize, 2, 4]
+        .into_iter()
+        .map(|jobs| {
+            let opts = BuildOptions::root("Sys").runtime_symbols(runtime()).jobs(jobs).build();
+            let mut session = knit::BuildSession::from_parts(p.clone(), t.clone(), opts);
+            let err = session.build().unwrap_err();
+            assert!(matches!(err.root(), knit::KnitError::ConstraintViolation { .. }), "{err}");
+            // A second build checks again: no constraint or schedule memo
+            // survived the failure.
+            session.build().unwrap_err();
+            (err.to_string(), session.stats().clone())
+        })
+        .collect();
+    assert_eq!(outcomes[0].1.constraints.runs, 2);
+    assert_eq!(outcomes[0].1.schedule.runs + outcomes[0].1.schedule.reuses, 0);
+    for (jobs, outcome) in [2, 4].iter().zip(&outcomes[1..]) {
+        assert_eq!(outcome, &outcomes[0], "jobs={jobs}");
+    }
 }
 
 #[test]

@@ -42,9 +42,14 @@ pub fn repro(seed: u64) -> String {
 /// which is exactly the kind of thing a buggy fast path would skew).
 pub const INTRINSICS: &[&str] = &["__brk", "__clock", "__con_putc", "__halt", "__trace"];
 
+/// Ten-byte constants in the random programs' `leaf`: 160 bytes of text,
+/// more than any of the small I-cache geometries the tests pick.
+const LEAF_SWEEP: usize = 16;
+
 /// Generate a linked image from `seed`: a handful of functions with random
-/// bodies that call each other (directly and through function pointers),
-/// touch frame and heap memory, and hit every fault class.
+/// bodies that call each other (directly and through function pointers)
+/// and a long leaf that always returns, touch frame and heap memory, and
+/// hit every fault class.
 pub fn gen_image(seed: u64) -> Image {
     let mut rng = StdRng::seed_from_u64(seed);
     let nfuncs = rng.random_range(2usize..5);
@@ -60,6 +65,10 @@ pub fn gen_image(seed: u64) -> Image {
         .collect();
     let func_syms: Vec<_> =
         (0..nfuncs).map(|i| o.add_symbol(Symbol::func(format!("f{i}")))).collect();
+    // A leaf that always returns, after sweeping more text than the small
+    // test caches hold: its caller resumes on a line the call evicted,
+    // which only a fetch check at the return point accounts for.
+    let leaf = o.add_symbol(Symbol::func("leaf"));
 
     for (i, &(params, nregs, frame)) in shapes.iter().enumerate() {
         let len = rng.random_range(4usize..14);
@@ -123,9 +132,12 @@ pub fn gen_image(seed: u64) -> Image {
                 },
                 11 => Instr::VarArg { dst: reg(&mut rng), idx: reg(&mut rng) },
                 12 | 13 => {
-                    // Direct call: another function (recursion allowed — the
-                    // depth limit is itself under test) or an intrinsic.
-                    let target = if rng.random_bool(0.6) {
+                    // Direct call: the leaf, another function (recursion
+                    // allowed — the depth limit is itself under test) or an
+                    // intrinsic.
+                    let target = if rng.random_bool(0.5) {
+                        leaf
+                    } else if rng.random_bool(0.6) {
                         func_syms[rng.random_range(0usize..nfuncs)]
                     } else {
                         intr_syms[rng.random_range(0usize..intr_syms.len())]
@@ -171,6 +183,9 @@ pub fn gen_image(seed: u64) -> Image {
         }
         o.funcs.push(FuncDef { sym: func_syms[i], params, nregs, frame_size: frame, body });
     }
+    let mut body = vec![Instr::Const { dst: 0, value: i64::MAX }; LEAF_SWEEP];
+    body.push(Instr::Ret { value: Some(0) });
+    o.funcs.push(FuncDef { sym: leaf, params: 0, nregs: 1, frame_size: 0, body });
     link(&[LinkInput::Object(o)], &LinkOptions::new("f0", machine::runtime_symbols()))
         .expect("generated object links")
 }

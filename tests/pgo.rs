@@ -37,6 +37,7 @@ fn link_with(inputs: &[cobj::LinkInput], layout: Layout) -> cobj::Image {
             entry: None,
             runtime_symbols: machine::runtime_symbols().collect(),
             layout,
+            ..Default::default()
         },
     )
     .expect("links")
