@@ -6,8 +6,8 @@
 //! See DESIGN.md §4 for the experiment index and EXPERIMENTS.md for
 //! paper-vs-measured results.
 
-pub mod legacy;
 pub mod mc;
+pub mod spec;
 pub mod synth;
 
 use clack::click::{build_click_router, ClickOpts};

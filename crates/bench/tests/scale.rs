@@ -2,12 +2,16 @@
 //!
 //! The interner/worklist/template work (DESIGN.md §13) is only admissible
 //! if it is invisible: these tests pin byte-level golden image hashes and
-//! diagnostics on the pre-existing corpora, new-vs-legacy differential
-//! dumps, `--jobs` determinism (as proptests), and the one-edit
-//! incremental law on a 10k-unit [`knit::BuildSession`] via exact
-//! [`knit::SessionStats`] counts.
+//! diagnostics on the pre-existing corpora, hashes of the canonical
+//! elaboration and schedule dumps (captured while the pre-interner engine
+//! still produced the same bytes), `--jobs` determinism (as proptests),
+//! and the one-edit incremental law on a 10k-unit [`knit::BuildSession`]
+//! via exact [`knit::SessionStats`] counts and exact elaborator and
+//! constraint-solver work counts. That the engine's output obeys the
+//! paper's rules is checked separately, against the executable
+//! specifications in `tests/spec.rs`.
 
-use bench::legacy;
+use bench::spec::{dump_elaboration, dump_hash, dump_schedule};
 use bench::synth::{generate, SynthCorpus, SynthParams, PACK_DEPTH};
 use knit::proto::image_hash;
 use knit::{BuildOptions, BuildSession};
@@ -17,45 +21,76 @@ use proptest::prelude::*;
 // golden identity on the pre-existing corpora
 // ---------------------------------------------------------------------------
 
-/// `(root, image hash, schedule length)` captured on the pre-interner
-/// engine. Any drift means the scaling work changed observable output.
-const GOLDEN_KERNELS: &[(&str, u64, usize)] = &[
-    ("HelloKernel", 0x1981bda0f7b12d17, 0),
-    ("HelloSerialKernel", 0xce7afa023047bd4f, 0),
-    ("FsKernel", 0x6999f09bf3012eeb, 2),
-    ("RedirectKernel", 0xed1297360fe45164, 0),
-    ("IrqKernelGood", 0x37c8246065e12178, 0),
-    ("LockKernel", 0x30d90b3244730370, 0),
-    ("LockKernelSpin", 0xdcbf23a4be4fd390, 0),
-    ("NetEchoKernel", 0x8290da58cc6bd8b6, 0),
-    ("UptimeKernel", 0x1f7ecfcde4c40920, 0),
-    ("ChainKernel", 0x93b0a61cd96ca335, 0),
-    ("ChainKernelFlat", 0x89d852eb451842cc, 0),
+/// `(root, image hash, schedule length, elaboration dump hash, schedule
+/// dump hash)` captured on the pre-interner engine; the hashes of the
+/// canonical dumps ([`dump_elaboration`], [`dump_schedule`]) were taken
+/// while that engine's own dumps still matched them byte for byte. Any
+/// drift means the scaling work changed observable output.
+const GOLDEN_KERNELS: &[(&str, u64, usize, u64, u64)] = &[
+    ("HelloKernel", 0x1981bda0f7b12d17, 0, 0xcdafe81bc0c81bc0, EMPTY),
+    ("HelloSerialKernel", 0xce7afa023047bd4f, 0, 0x929093c6f36e2500, EMPTY),
+    ("FsKernel", 0x6999f09bf3012eeb, 2, 0xa9a3d4b3284da5e7, 0x9ae1f15ff7ca233e),
+    ("RedirectKernel", 0xed1297360fe45164, 0, 0xc4cf6d9dbbaf9a76, EMPTY),
+    ("IrqKernelGood", 0x37c8246065e12178, 0, 0x5b6edbb3f23dfde1, EMPTY),
+    ("LockKernel", 0x30d90b3244730370, 0, 0x4b27b6509d2aa175, EMPTY),
+    ("LockKernelSpin", 0xdcbf23a4be4fd390, 0, 0x59dd1c8ec2aea9cf, EMPTY),
+    ("NetEchoKernel", 0x8290da58cc6bd8b6, 0, 0x3addd2e7b849f558, EMPTY),
+    ("UptimeKernel", 0x1f7ecfcde4c40920, 0, 0xdd9dd24e55f2bc0a, EMPTY),
+    ("ChainKernel", 0x93b0a61cd96ca335, 0, 0x2456b03f36331013, EMPTY),
+    ("ChainKernelFlat", 0x89d852eb451842cc, 0, 0xdeac0c1b5b65b053, EMPTY),
 ];
+
+/// The hash of an empty dump (FNV-1a's offset basis).
+const EMPTY: u64 = 0xcbf29ce484222325;
 
 /// Image hash of the cold 10k build in
 /// `one_edit_in_a_10k_unit_session_is_incremental` (seed `0xC0FFEE`). The
 /// corpus instantiates the `Pack` units 625 times each, so this pins the
-/// per-instance renaming of multiply-instantiated units end to end.
+/// per-instance renaming of multiply-instantiated units end to end. Its
+/// dump hashes follow.
 const GOLDEN_10K: u64 = 0x66d4439bb58c3ca7;
+const GOLDEN_10K_DUMPS: (u64, u64) = (0x79912d919e5a33cb, 0x585ddd7287415d19);
+
+fn dump_hashes(program: &knit::Program, el: &knit::Elaboration) -> (u64, u64) {
+    let s = knit::sched::schedule(program, el).expect("schedules");
+    (dump_hash(&dump_elaboration(el)), dump_hash(&dump_schedule(&s)))
+}
 
 #[test]
 fn oskit_images_byte_identical_to_pre_interner_engine() {
     assert_eq!(GOLDEN_KERNELS.len(), oskit::GOOD_KERNELS.len(), "golden table covers every kernel");
-    for &(root, hash, sched_len) in GOLDEN_KERNELS {
+    let program = oskit::program();
+    for &(root, hash, sched_len, el, sched) in GOLDEN_KERNELS {
         assert!(oskit::GOOD_KERNELS.contains(&root), "{root} is a known kernel");
         let r = oskit::build_kernel(root).expect("good kernel builds");
         assert_eq!(image_hash(&r.image), hash, "{root}: image drifted");
         assert_eq!(r.schedule.len(), sched_len, "{root}: schedule drifted");
+        assert_eq!(dump_hashes(&program, &r.elaboration), (el, sched), "{root}: dumps drifted");
     }
 }
 
 #[test]
 fn clack_images_byte_identical_to_pre_interner_engine() {
-    for (flatten, hash) in [(false, 0xf51a1bee14d00a92u64), (true, 0xb076a43278c4462d)] {
+    for (flatten, hash, el, sched) in [
+        (false, 0xf51a1bee14d00a92u64, 0x98768751e6b967ff, 0xf025916c50bcef13),
+        (true, 0xb076a43278c4462d, 0x07ff0954935a5647, 0xf025916c50bcef13),
+    ] {
         let r = clack::build_clack_router(&clack::ip_router(), flatten).expect("router builds");
         assert_eq!(image_hash(&r.image), hash, "clack flatten={flatten}: image drifted");
+        let (program, _, _) =
+            clack::router_build_inputs(&clack::ip_router(), flatten).expect("router generates");
+        assert_eq!(dump_hashes(&program, &r.elaboration), (el, sched), "flatten={flatten}");
     }
+}
+
+/// Dump hashes of the 300-unit synthetic corpus (seed `0xFEED`), captured
+/// the same way as the kernels' above.
+#[test]
+fn synthetic_corpus_dumps_are_pinned() {
+    let corpus = generate(&SynthParams::sized(300, 0xFEED));
+    let program = corpus.load_program(1).expect("corpus parses");
+    let el = knit::elaborate::elaborate(&program, &corpus.root).expect("elaborates");
+    assert_eq!(dump_hashes(&program, &el), (0x05e298a4513b9319, 0xcf93e57346b89ff8));
 }
 
 /// Structured diagnostics must also survive byte-for-byte: the constraint
@@ -111,51 +146,6 @@ fn diagnostics_byte_identical_to_pre_interner_engine() {
 }
 
 // ---------------------------------------------------------------------------
-// new vs legacy differential (beyond what table_scale runs)
-// ---------------------------------------------------------------------------
-
-fn assert_engines_agree(program: &knit::Program, root: &str) {
-    let el = knit::elaborate::elaborate(program, root).expect("new engine elaborates");
-    let lel = legacy::elaborate(program, root).expect("legacy engine elaborates");
-    assert_eq!(
-        legacy::dump_new_elaboration(&el),
-        legacy::dump_elaboration(&lel),
-        "{root}: elaborations diverged"
-    );
-    let s = knit::sched::schedule(program, &el).expect("new engine schedules");
-    let ls = legacy::schedule(program, &lel).expect("legacy engine schedules");
-    assert_eq!(
-        legacy::dump_new_schedule(&s),
-        legacy::dump_schedule(&ls),
-        "{root}: schedules diverged"
-    );
-}
-
-#[test]
-fn oskit_kernels_match_legacy_engine() {
-    let program = oskit::program();
-    for root in oskit::GOOD_KERNELS {
-        assert_engines_agree(&program, root);
-    }
-}
-
-#[test]
-fn clack_router_matches_legacy_engine() {
-    for flatten in [false, true] {
-        let (program, _, opts) =
-            clack::router_build_inputs(&clack::ip_router(), flatten).expect("router generates");
-        assert_engines_agree(&program, &opts.root);
-    }
-}
-
-#[test]
-fn synthetic_corpus_matches_legacy_engine() {
-    let corpus = generate(&SynthParams::sized(300, 0xFEED));
-    let program = corpus.load_program(1).expect("corpus parses");
-    assert_engines_agree(&program, &corpus.root);
-}
-
-// ---------------------------------------------------------------------------
 // determinism proptests: seeds and --jobs
 // ---------------------------------------------------------------------------
 
@@ -182,7 +172,7 @@ proptest! {
     #[test]
     fn elaboration_identical_for_every_jobs(seed in any::<u64>()) {
         let corpus = generate(&SynthParams::sized(90, seed));
-        let base = legacy::dump_new_elaboration(
+        let base = dump_elaboration(
             &knit::elaborate::elaborate(
                 &corpus.load_program(1).expect("parses"), &corpus.root,
             ).expect("elaborates"),
@@ -190,7 +180,7 @@ proptest! {
         for jobs in [2usize, 4, 8] {
             let program = corpus.load_program(jobs).expect("parses");
             let el = knit::elaborate::elaborate(&program, &corpus.root).expect("elaborates");
-            prop_assert_eq!(&legacy::dump_new_elaboration(&el), &base, "jobs={}", jobs);
+            prop_assert_eq!(&dump_elaboration(&el), &base, "jobs={}", jobs);
         }
     }
 }
@@ -299,6 +289,13 @@ fn one_edit_in_a_10k_unit_session_is_incremental() {
     // revisits, pinned exactly.
     assert_eq!(report.elaboration.stats.template_copies, params.replicas - 1);
     assert_eq!(report.elaboration.stats.instances_stamped, (params.replicas - 1) * PACK_DEPTH);
+    // Exact work counts of the elaborator and the constraint solver: every
+    // unit declaration is built once, and the worklist converges in a
+    // pinned number of rounds over a pinned number of variables.
+    assert_eq!(report.elaboration.stats.nodes_built, corpus.unit_decls);
+    let c = report.constraints.as_ref().expect("constraints checked");
+    assert_eq!((c.vars, c.constraints, c.iterations), (14_945, 14_945, 48));
+    assert_eq!(dump_hashes(session.program(), &report.elaboration), GOLDEN_10K_DUMPS);
     let cold = session.stats().clone();
     assert_eq!(cold.elaborate.runs, 1);
     assert_eq!(cold.constraints.runs, 1);

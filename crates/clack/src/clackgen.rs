@@ -98,7 +98,7 @@ pub fn generate(graph: &Graph, kernel: &str, flatten: bool) -> Result<Generated,
 /// (DESIGN.md §8): one input pipeline per core (FromDevice(c) → Counter →
 /// Classifier → Strip → CheckIPHeader → DecIPTTL → LookupIPRoute, fresh
 /// instances via Knit multiple instantiation), converging on two
-/// [`SharedQueue`] instances whose state lives in shared, bus-coherent
+/// `SharedQueue` instances whose state lives in shared, bus-coherent
 /// memory, then a single egress chain per output port (EtherEncap →
 /// Counter → ToDevice). Exports `router0..router{ncores-1}`, one Router
 /// bundle per core, so the harness can drive each core's shard

@@ -5,7 +5,7 @@
 //! components instead of C++ classes. We dubbed our new component suite
 //! Clack." This crate provides everything Table 1 and Table 2 measure:
 //!
-//! * fixed Clack element units in mini-C ([`corpus`]: FromDevice,
+//! * fixed Clack element units in mini-C (`corpus/`: FromDevice,
 //!   Classifier, Strip, CheckIPHeader, DecIPTTL, LookupIPRoute,
 //!   EtherEncap, Queue, Counter, Discard, ToDevice) — see
 //!   `corpus/elements.unit`;

@@ -355,8 +355,10 @@ impl<'a> Checker<'a> {
                 Var::External(id) => nports + id as usize,
             }
         };
-        // Distinct properties, in the (alphabetical) order the legacy
-        // `BTreeMap<(String, Var), _>` would have visited them.
+        // Distinct properties, in alphabetical order: the final check
+        // visits them in this order, so it decides which conflict is
+        // blamed first (the K0011 bytes pinned in
+        // `crates/bench/tests/scale.rs`).
         let mut prop_ix: BTreeMap<&str, usize> = BTreeMap::new();
         for c in &self.constraints {
             let next = prop_ix.len();
@@ -588,8 +590,9 @@ impl<'a> Checker<'a> {
                 }
             }
             if next.is_empty() {
-                // The legacy solver always ran one final all-clean pass to
-                // observe the fixpoint; count it so `iterations` matches.
+                // Count one final all-clean round that observes the
+                // fixpoint, as a full re-pass solver would; the 10k session
+                // test in `crates/bench/tests/scale.rs` pins `iterations`.
                 if changed {
                     iterations += 1;
                 }
@@ -608,9 +611,9 @@ impl<'a> Checker<'a> {
         }
 
         // final check: lower bound must sit below upper bound, visiting
-        // (property, var) pairs in the order the legacy
-        // `BTreeMap<(String, Var), _>` iterated so the same conflict is
-        // blamed first.
+        // (property, var) pairs in sorted order; that order picks the
+        // conflict blamed first, pinned by the K0011 bytes in
+        // `crates/bench/tests/scale.rs`.
         let mut vars_sorted: Vec<Var> = self
             .port_ids
             .iter()

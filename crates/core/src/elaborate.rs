@@ -95,8 +95,8 @@ pub struct NodeInfo {
 }
 
 /// How much elaboration work was memoized (template stamping) versus
-/// built from scratch — the scale counters `table_scale` and the
-/// incrementality tests pin.
+/// built from scratch — counters the 10k-unit session test in
+/// `crates/bench/tests/scale.rs` pins exactly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ElabStats {
     /// Instantiation-tree nodes built by full recursive descent.
@@ -328,7 +328,7 @@ enum RelWire {
     ViaRoot(Sym),
 }
 
-/// One import use inside a template, in legacy resolution order.
+/// One import use inside a template, in full-build resolution order.
 struct RelUse {
     /// Node id relative to the subtree's public base (0 = the root).
     rel_node: usize,

@@ -662,6 +662,12 @@ fn usize_field(obj: &Object, ctx: &str, key: &str) -> Result<usize, String> {
     json::u64_field(obj, ctx, key).map(|n| n as usize)
 }
 
+/// A span's line or column, which must fit a `u32`.
+fn span_number(span: &Object, key: &str) -> Result<u32, String> {
+    u32::try_from(json::u64_field(span, "span", key)?)
+        .map_err(|_| format!("span `{key}` out of range"))
+}
+
 fn parse_diag(v: &Json) -> Result<Diagnostic, String> {
     let o = v.as_object().ok_or("diagnostic must be an object")?;
     let code = json::str_field(o, "diagnostic", "code")?;
@@ -680,8 +686,8 @@ fn parse_diag(v: &Json) -> Result<Diagnostic, String> {
             let so = s.as_object().ok_or("diagnostic span must be an object")?;
             Some((
                 json::str_field(so, "span", "file")?,
-                json::u64_field(so, "span", "line")? as u32,
-                json::u64_field(so, "span", "col")? as u32,
+                span_number(so, "line")?,
+                span_number(so, "col")?,
             ))
         }
     };
@@ -913,7 +919,7 @@ impl ByteWriter {
         self.u32(s.len() as u32);
         self.0.extend_from_slice(s.as_bytes());
     }
-    fn opt_reg(&mut self, r: Option<Reg>) {
+    fn opt_u32(&mut self, r: Option<u32>) {
         match r {
             Some(r) => {
                 self.u8(1);
@@ -962,10 +968,12 @@ impl<'a> ByteReader<'a> {
         let n = self.u32()? as usize;
         String::from_utf8(self.take(n)?.to_vec()).map_err(|_| "image: bad utf-8".to_string())
     }
-    fn opt_reg(&mut self) -> Result<Option<Reg>, String> {
+    /// An optional `u32`: tag 0 is `None`, tag 1 is followed by the value.
+    fn opt_u32(&mut self) -> Result<Option<u32>, String> {
         Ok(match self.u8()? {
             0 => None,
-            _ => Some(self.u32()?),
+            1 => Some(self.u32()?),
+            other => return Err(format!("image: bad option tag {other}")),
         })
     }
     fn regs(&mut self) -> Result<Vec<Reg>, String> {
@@ -1065,7 +1073,7 @@ fn write_instr(w: &mut ByteWriter, i: &RInstr) {
         }
         RInstr::Call { dst, target, args } => {
             w.u8(8);
-            w.opt_reg(*dst);
+            w.opt_u32(*dst);
             match target {
                 CallTarget::Func(f) => {
                     w.u8(0);
@@ -1080,7 +1088,7 @@ fn write_instr(w: &mut ByteWriter, i: &RInstr) {
         }
         RInstr::CallInd { dst, target, args } => {
             w.u8(9);
-            w.opt_reg(*dst);
+            w.opt_u32(*dst);
             w.u32(*target);
             w.regs(args);
         }
@@ -1096,7 +1104,7 @@ fn write_instr(w: &mut ByteWriter, i: &RInstr) {
         }
         RInstr::Ret { value } => {
             w.u8(12);
-            w.opt_reg(*value);
+            w.opt_u32(*value);
         }
         RInstr::Nop => w.u8(13),
     }
@@ -1129,7 +1137,7 @@ fn read_instr(r: &mut ByteReader) -> Result<RInstr, String> {
         6 => RInstr::FrameAddr { dst: r.u32()?, offset: r.i64()? },
         7 => RInstr::VarArg { dst: r.u32()?, idx: r.u32()? },
         8 => {
-            let dst = r.opt_reg()?;
+            let dst = r.opt_u32()?;
             let target = match r.u8()? {
                 0 => CallTarget::Func(r.u32()?),
                 1 => CallTarget::Intrinsic(r.u32()?),
@@ -1137,14 +1145,14 @@ fn read_instr(r: &mut ByteReader) -> Result<RInstr, String> {
             };
             RInstr::Call { dst, target, args: r.regs()? }
         }
-        9 => RInstr::CallInd { dst: r.opt_reg()?, target: r.u32()?, args: r.regs()? },
+        9 => RInstr::CallInd { dst: r.opt_u32()?, target: r.u32()?, args: r.regs()? },
         10 => RInstr::Jump { target: r.u64()? as usize },
         11 => RInstr::Branch {
             cond: r.u32()?,
             then_to: r.u64()? as usize,
             else_to: r.u64()? as usize,
         },
-        12 => RInstr::Ret { value: r.opt_reg()? },
+        12 => RInstr::Ret { value: r.opt_u32()? },
         13 => RInstr::Nop,
         other => return Err(format!("image: bad instruction tag {other}")),
     })
@@ -1203,13 +1211,7 @@ pub fn encode_image_bytes(img: &Image) -> Vec<u8> {
         w.str(s);
     }
     w.u64(img.text_size);
-    match img.entry {
-        Some(e) => {
-            w.u8(1);
-            w.u32(e);
-        }
-        None => w.u8(0),
-    }
+    w.opt_u32(img.entry);
     w.0
 }
 
@@ -1219,9 +1221,9 @@ pub fn decode_image_bytes(bytes: &[u8]) -> Result<Image, String> {
     if r.take(IMAGE_MAGIC.len())? != IMAGE_MAGIC {
         return Err("image: bad magic".to_string());
     }
-    let nfuncs = r.u32()? as usize;
-    let mut funcs = Vec::with_capacity(nfuncs);
-    for _ in 0..nfuncs {
+    // Counts are untrusted: nothing is reserved ahead of the bytes read.
+    let mut funcs = Vec::new();
+    for _ in 0..r.u32()? {
         let name = r.str()?;
         let addr = r.u64()?;
         let size = r.u64()?;
@@ -1244,9 +1246,14 @@ pub fn decode_image_bytes(bytes: &[u8]) -> Result<Image, String> {
             instr_sizes,
         }));
     }
+    // Map keys are encoded in ascending order; anything else would not
+    // re-encode to the same bytes.
     let mut addr_to_func = BTreeMap::new();
     for _ in 0..r.u32()? {
         let addr = r.u64()?;
+        if addr_to_func.last_key_value().is_some_and(|(&prev, _)| prev >= addr) {
+            return Err(format!("image: function address {addr:#x} out of order"));
+        }
         addr_to_func.insert(addr, r.u32()?);
     }
     let ndata = r.u32()? as usize;
@@ -1256,8 +1263,13 @@ pub fn decode_image_bytes(bytes: &[u8]) -> Result<Image, String> {
     let mut symbols = BTreeMap::new();
     for _ in 0..r.u32()? {
         let name = r.str()?;
+        if symbols.last_key_value().is_some_and(|(prev, _)| *prev >= name) {
+            return Err(format!("image: symbol `{name}` out of order"));
+        }
         let loc = match r.u8()? {
-            0 => SymbolLoc::Func(r.u64()? as u32),
+            0 => SymbolLoc::Func(
+                u32::try_from(r.u64()?).map_err(|_| "image: function index out of range")?,
+            ),
             1 => SymbolLoc::Data(r.u64()?),
             other => return Err(format!("image: bad symbol tag {other}")),
         };
@@ -1266,10 +1278,7 @@ pub fn decode_image_bytes(bytes: &[u8]) -> Result<Image, String> {
     let nintr = r.u32()? as usize;
     let intrinsics = (0..nintr).map(|_| r.str()).collect::<Result<Vec<_>, _>>()?;
     let text_size = r.u64()?;
-    let entry = match r.u8()? {
-        0 => None,
-        _ => Some(r.u32()?),
-    };
+    let entry = r.opt_u32()?;
     if r.pos != bytes.len() {
         return Err(format!("image: trailing garbage at byte {}", r.pos));
     }

@@ -5,6 +5,7 @@
 
 use knit::proto::{self, BuildEvent, BuildOutcome, LintOptions, Request, Response, SessionOptions};
 use knit::{BuildOptions, Diagnostic, LintLevel, SessionHandle, Severity};
+use proptest::prelude::*;
 
 /// Serialize, pin the exact bytes, and confirm the bytes parse back to the
 /// same request.
@@ -279,6 +280,10 @@ fn schema_errors_are_pinned() {
             "span missing `col`",
         ),
         (
+            r#"{"resp":"error","diagnostics":[{"code":"K0017","severity":"error","message":"m","span":{"file":"f","line":4294967296,"col":1}}]}"#,
+            "span `line` out of range",
+        ),
+        (
             r#"{"resp":"error","diagnostics":[{"code":"K0017","severity":"error","message":"m","notes":[1]}]}"#,
             "notes must be strings",
         ),
@@ -371,6 +376,43 @@ fn image_codec_round_trips_byte_identically() {
     assert_eq!(proto::image_hash(&decoded), proto::image_hash(&image));
 }
 
+/// A KIMG1 image written field by field: `func` (if any) is one function
+/// `g` at 0x100 whose body is the one encoded instruction, `addrs` the
+/// address-to-function entries, `symbols` the encoded locations of
+/// symbols all named `f`, and `entry` the encoded entry point.
+fn raw_image(func: Option<&[u8]>, addrs: &[u64], symbols: &[&[u8]], entry: &[u8]) -> Vec<u8> {
+    let mut b = b"KIMG1".to_vec();
+    b.extend(u32::from(func.is_some()).to_le_bytes());
+    if let Some(instr) = func {
+        b.extend(1u32.to_le_bytes());
+        b.push(b'g');
+        b.extend(0x100u64.to_le_bytes()); // addr
+        b.extend(4u64.to_le_bytes()); // size
+        b.extend([0u8; 12]); // params, nregs, frame size
+        b.extend(1u32.to_le_bytes());
+        b.extend(instr);
+        b.extend(0x100u64.to_le_bytes());
+        b.extend(4u16.to_le_bytes());
+    }
+    b.extend((addrs.len() as u32).to_le_bytes());
+    for a in addrs {
+        b.extend(a.to_le_bytes());
+        b.extend(0u32.to_le_bytes());
+    }
+    b.extend(0u32.to_le_bytes()); // data
+    b.extend([0u8; 16]); // data and heap bases
+    b.extend((symbols.len() as u32).to_le_bytes());
+    for loc in symbols {
+        b.extend(1u32.to_le_bytes());
+        b.push(b'f');
+        b.extend(*loc);
+    }
+    b.extend(0u32.to_le_bytes()); // intrinsics
+    b.extend(4u64.to_le_bytes()); // text size
+    b.extend(entry);
+    b
+}
+
 #[test]
 fn image_codec_rejects_corruption() {
     let image = tiny_image();
@@ -380,6 +422,64 @@ fn image_codec_rejects_corruption() {
     assert!(proto::decode_image_bytes(&bytes).is_err(), "trailing garbage");
     assert!(proto::decode_image_bytes(b"not an image").is_err(), "bad magic");
     assert!(proto::decode_image("zz").is_err(), "bad hex");
+    // A huge function count is read against the bytes, not reserved.
+    assert_eq!(
+        proto::decode_image_bytes(b"KIMG1\xff\xff\xff\xff").unwrap_err(),
+        "image: truncated at byte 9"
+    );
+
+    // The hand-written image is valid; each case below changes one field
+    // to bytes the encoder never writes.
+    let func0: &[u8] = &[0, 0, 0, 0, 0, 0, 0, 0, 0];
+    let ret_none: &[u8] = &[12, 0];
+    let good = raw_image(Some(ret_none), &[0x100], &[func0], &[1, 0, 0, 0, 0]);
+    let decoded = proto::decode_image_bytes(&good).expect("hand-written image decodes");
+    assert_eq!(proto::encode_image_bytes(&decoded), good, "and re-encodes to its bytes");
+    let wide: &[u8] = &[0, 0, 0, 0, 0, 1, 0, 0, 0];
+    let bad: &[(Vec<u8>, &str)] = &[
+        (raw_image(None, &[], &[wide], &[0]), "image: function index out of range"),
+        (raw_image(Some(&[12, 2, 0, 0, 0, 0]), &[], &[], &[0]), "image: bad option tag 2"),
+        (raw_image(None, &[], &[], &[2, 0, 0, 0, 0]), "image: bad option tag 2"),
+        (raw_image(None, &[0x100, 0x100], &[], &[0]), "image: function address 0x100 out of order"),
+        (raw_image(None, &[0x200, 0x100], &[], &[0]), "image: function address 0x100 out of order"),
+        (raw_image(None, &[], &[func0, func0], &[0]), "image: symbol `f` out of order"),
+    ];
+    for (bytes, want) in bad {
+        assert_eq!(proto::decode_image_bytes(bytes).unwrap_err(), *want, "{bytes:?}");
+    }
+}
+
+/// The encoded Clack IP router, built once.
+fn router_image_bytes() -> &'static [u8] {
+    static BYTES: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+    BYTES.get_or_init(|| {
+        let r = clack::build_clack_router(&clack::ip_router(), false).expect("router builds");
+        proto::encode_image_bytes(&r.image)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A truncated or corrupted image is rejected or decodes to an image
+    /// that encodes back to exactly the bytes given, and never panics.
+    #[test]
+    fn image_decoder_rejects_or_round_trips_corruptions(
+        at in any::<prop::sample::Index>(),
+        flip in 1u8..255,
+        truncate in any::<bool>(),
+    ) {
+        let mut bytes = router_image_bytes().to_vec();
+        let at = at.index(bytes.len());
+        if truncate {
+            bytes.truncate(at);
+        } else {
+            bytes[at] ^= flip;
+        }
+        if let Ok(image) = proto::decode_image_bytes(&bytes) {
+            prop_assert!(proto::encode_image_bytes(&image) == bytes, "byte {} re-encodes", at);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
