@@ -30,12 +30,23 @@ impl Parser {
         self.toks[self.pos].span
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.toks[self.pos].tok.clone();
+    /// Advance past the current token (never past the final `Eof`).
+    fn bump(&mut self) {
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
-        t
+    }
+
+    /// Move the current token out and advance. The parser never looks
+    /// back at a token it has taken, and the final `Eof`, which it never
+    /// advances past, is copied rather than taken.
+    fn take(&mut self) -> Tok {
+        if self.pos + 1 < self.toks.len() {
+            self.pos += 1;
+            std::mem::replace(&mut self.toks[self.pos - 1].tok, Tok::Eof)
+        } else {
+            self.toks[self.pos].tok.clone()
+        }
     }
 
     fn err<T>(&self, msg: impl Into<String>) -> Result<T, CError> {
@@ -61,11 +72,11 @@ impl Parser {
     }
 
     fn ident(&mut self) -> Result<String, CError> {
-        match self.peek().clone() {
-            Tok::Ident(s) => {
-                self.bump();
-                Ok(s)
-            }
+        match self.peek() {
+            Tok::Ident(_) => match self.take() {
+                Tok::Ident(s) => Ok(s),
+                _ => unreachable!("peeked an identifier"),
+            },
             other => self.err(format!("expected identifier, found {other}")),
         }
     }
@@ -78,7 +89,7 @@ impl Parser {
 
     /// Base type: `int`, `char`, `void`, `struct Name`.
     fn base_type(&mut self) -> Result<Type, CError> {
-        match self.bump() {
+        match self.take() {
             Tok::KwInt => Ok(Type::Int),
             Tok::KwChar => Ok(Type::Char),
             Tok::KwVoid => Ok(Type::Void),
@@ -115,7 +126,7 @@ impl Parser {
             let name = self.ident()?;
             // optional array of function pointers: (*name[N])(params)
             let arr = if self.eat(Tok::LBracket) {
-                let n = match self.bump() {
+                let n = match self.take() {
                     Tok::Int(v) if v >= 0 => v as u64,
                     other => return self.err(format!("expected array size, found {other}")),
                 };
@@ -143,7 +154,7 @@ impl Parser {
             if self.eat(Tok::RBracket) {
                 dims.push(None);
             } else {
-                let n = match self.bump() {
+                let n = match self.take() {
                     Tok::Int(v) if v >= 0 => v as u64,
                     other => return self.err(format!("expected array size, found {other}")),
                 };
@@ -214,7 +225,7 @@ impl Parser {
                 // array params decay to pointers
                 while self.eat(Tok::LBracket) {
                     if !self.eat(Tok::RBracket) {
-                        match self.bump() {
+                        match self.take() {
                             Tok::Int(_) => {}
                             other => {
                                 return self.err(format!("expected array size, found {other}"))
@@ -246,26 +257,24 @@ impl Parser {
     fn item(&mut self) -> Result<Item, CError> {
         let span = self.span();
         // struct definition: struct Name { … };
-        if *self.peek() == Tok::KwStruct {
-            if let Tok::Ident(_) = self.peek2() {
-                // lookahead: struct Name {  → definition
-                let save = self.pos;
-                self.bump();
-                let name = self.ident()?;
-                if self.eat(Tok::LBrace) {
-                    let mut fields = Vec::new();
-                    while !self.eat(Tok::RBrace) {
-                        let base = self.base_type()?;
-                        let (fname, fty) = self.declarator(base, false)?;
-                        self.expect(Tok::Semi)?;
-                        fields.push((fname, fty));
-                    }
-                    self.expect(Tok::Semi)?;
-                    return Ok(Item::Struct(StructDef { name, fields, span }));
-                }
-                // not a definition; rewind and fall through to decl
-                self.pos = save;
+        // struct definition: lookahead `struct Name {`
+        let third = self.toks.get(self.pos + 2).map(|t| &t.tok);
+        if *self.peek() == Tok::KwStruct
+            && matches!(self.peek2(), Tok::Ident(_))
+            && third == Some(&Tok::LBrace)
+        {
+            self.bump();
+            let name = self.ident()?;
+            self.bump();
+            let mut fields = Vec::new();
+            while !self.eat(Tok::RBrace) {
+                let base = self.base_type()?;
+                let (fname, fty) = self.declarator(base, false)?;
+                self.expect(Tok::Semi)?;
+                fields.push((fname, fty));
             }
+            self.expect(Tok::Semi)?;
+            return Ok(Item::Struct(StructDef { name, fields, span }));
         }
 
         let storage = if self.eat(Tok::KwStatic) {
@@ -327,7 +336,7 @@ impl Parser {
             if self.eat(Tok::RBracket) {
                 dims.push(0);
             } else {
-                let n = match self.bump() {
+                let n = match self.take() {
                     Tok::Int(v) if v >= 0 => v as u64,
                     other => return self.err(format!("expected array size, found {other}")),
                 };
@@ -376,7 +385,7 @@ impl Parser {
 
     fn stmt(&mut self) -> Result<Stmt, CError> {
         let span = self.span();
-        match self.peek().clone() {
+        match self.peek() {
             Tok::LBrace => Ok(Stmt::Block(self.block()?)),
             Tok::Semi => {
                 self.bump();
@@ -463,7 +472,12 @@ impl Parser {
         let init = if self.eat(Tok::Assign) { Some(self.assignment_expr()?) } else { None };
         self.expect(Tok::Semi)?;
         // `char buf[] = "…"` sizes itself from the initializer
-        let ty = complete_array_type(ty, init.as_ref().map(|e| Init::Expr(e.clone())).as_ref());
+        let ty = match &init {
+            Some(e) if matches!(ty, Type::Array(_, 0)) => {
+                complete_array_type(ty, Some(&Init::Expr(e.clone())))
+            }
+            _ => ty,
+        };
         Ok(Stmt::Decl { name, ty, init, span })
     }
 
@@ -549,7 +563,7 @@ impl Parser {
 
     fn unary_expr(&mut self) -> Result<Expr, CError> {
         let span = self.span();
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Bang => {
                 self.bump();
                 let e = self.unary_expr()?;
@@ -613,7 +627,7 @@ impl Parser {
         let mut e = self.primary_expr()?;
         loop {
             let span = self.span();
-            match self.peek().clone() {
+            match self.peek() {
                 Tok::LParen => {
                     self.bump();
                     let mut args = Vec::new();
@@ -690,7 +704,7 @@ impl Parser {
 
     fn primary_expr(&mut self) -> Result<Expr, CError> {
         let span = self.span();
-        match self.bump() {
+        match self.take() {
             Tok::Int(v) => Ok(Expr::new(ExprKind::IntLit(v), span)),
             Tok::Char(c) => Ok(Expr::new(ExprKind::CharLit(c), span)),
             Tok::Str(s) => Ok(Expr::new(ExprKind::StrLit(s), span)),
@@ -732,17 +746,6 @@ fn complete_array_type(ty: Type, init: Option<&Init>) -> Type {
         _ => ty,
     }
 }
-
-// The parser splits function parsing: `item` calls `declarator` which for a
-// name followed by `(` builds a Func type but loses parameter names. We
-// instead intercept *before* that: the real implementation below overrides
-// `item` behaviour for functions by re-parsing. To keep the code simple and
-// correct, `declarator(…, true)` is only invoked from `item`, and `item`
-// handles the Func case by reconstructing names — but names were discarded.
-//
-// Rather than thread names through `Type`, `item` uses this second entry
-// point: when the declarator returns a Func type we re-parse from a saved
-// position with `params()` to recover names. See `Parser::item_fixed`.
 
 /// Parse helpers exposed for tests.
 #[cfg(test)]

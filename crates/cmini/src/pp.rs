@@ -52,7 +52,7 @@ pub fn preprocess(
     provider: &dyn FileProvider,
 ) -> Result<String, CError> {
     let mut macros: BTreeMap<String, String> = opts.defines.iter().cloned().collect();
-    let mut out = String::new();
+    let mut out = String::with_capacity(src.len() + 1);
     let mut stack = vec![file.to_string()];
     expand(file, src, opts, provider, &mut macros, &mut out, &mut stack)?;
     Ok(out)
@@ -166,7 +166,7 @@ fn expand(
         if !active {
             continue;
         }
-        out.push_str(&substitute(line, macros));
+        substitute(line, macros, out);
         out.push('\n');
     }
     if !conds.is_empty() {
@@ -185,50 +185,55 @@ fn is_ident(s: &str) -> bool {
         && chars.all(|c| c.is_ascii_alphanumeric() || c == '_')
 }
 
-/// Substitute object-like macros in one line, skipping string and character
-/// literals and comments. Repeats until fixpoint (bounded, to tolerate
-/// self-referential macros).
-fn substitute(line: &str, macros: &BTreeMap<String, String>) -> String {
-    let mut cur = line.to_string();
-    for _ in 0..8 {
-        let next = substitute_once(&cur, macros);
-        if next == cur {
-            break;
+/// Append `line` to `out` with object-like macros substituted, skipping
+/// string and character literals and comments. Repeats until fixpoint
+/// (bounded, to tolerate self-referential macros). A line that names no
+/// macro, as every line does when none is defined, is copied as is.
+fn substitute(line: &str, macros: &BTreeMap<String, String>, out: &mut String) {
+    let Some(mut cur) = substitute_once(line, macros) else {
+        out.push_str(line);
+        return;
+    };
+    for _ in 1..8 {
+        match substitute_once(&cur, macros) {
+            Some(next) if next != cur => cur = next,
+            _ => break,
         }
-        cur = next;
     }
-    cur
+    out.push_str(&cur);
 }
 
-fn substitute_once(line: &str, macros: &BTreeMap<String, String>) -> String {
+/// One substitution pass over `line`, or `None` when it names no macro.
+/// Unchanged runs are copied as `&str` slices, so every byte outside a
+/// replaced identifier (UTF-8 included) comes through intact.
+fn substitute_once(line: &str, macros: &BTreeMap<String, String>) -> Option<String> {
+    if macros.is_empty() {
+        return None;
+    }
     let b = line.as_bytes();
-    let mut out = String::with_capacity(line.len());
+    let mut out: Option<String> = None;
+    // `line[copied..i]` is pending: scanned, unchanged, not yet copied
+    let mut copied = 0;
     let mut i = 0;
     while i < b.len() {
         let c = b[i];
         // skip string literals
         if c == b'"' || c == b'\'' {
-            let quote = c;
-            out.push(c as char);
             i += 1;
             while i < b.len() {
-                out.push(b[i] as char);
                 if b[i] == b'\\' && i + 1 < b.len() {
-                    out.push(b[i + 1] as char);
                     i += 2;
                     continue;
                 }
-                if b[i] == quote {
-                    i += 1;
+                i += 1;
+                if b[i - 1] == c {
                     break;
                 }
-                i += 1;
             }
             continue;
         }
         // skip line comments entirely
         if c == b'/' && i + 1 < b.len() && b[i + 1] == b'/' {
-            out.push_str(&line[i..]);
             break;
         }
         if c.is_ascii_alphabetic() || c == b'_' {
@@ -236,17 +241,19 @@ fn substitute_once(line: &str, macros: &BTreeMap<String, String>) -> String {
             while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
                 i += 1;
             }
-            let word = &line[start..i];
-            match macros.get(word) {
-                Some(val) => out.push_str(val),
-                None => out.push_str(word),
+            if let Some(val) = macros.get(&line[start..i]) {
+                let o = out.get_or_insert_with(|| String::with_capacity(line.len()));
+                o.push_str(&line[copied..start]);
+                o.push_str(val);
+                copied = i;
             }
             continue;
         }
-        out.push(c as char);
         i += 1;
     }
-    out
+    let mut o = out?;
+    o.push_str(&line[copied..]);
+    Some(o)
 }
 
 #[cfg(test)]
@@ -329,6 +336,43 @@ mod tests {
     #[test]
     fn unterminated_ifdef_is_error() {
         assert!(preprocess("t.c", "#ifdef X\nint a;\n", &PpOptions::default(), &NoFiles).is_err());
+    }
+
+    #[test]
+    fn non_ascii_text_comes_through_byte_for_byte() {
+        for src in ["char *s = \"café\";\n", "/* café */\n", "int x; // naïve — ok\n"] {
+            assert_eq!(pp(src), src);
+            let with_macro = format!("#define N 4\n{src}");
+            assert_eq!(pp(&with_macro), src);
+        }
+        let src = "#define N 4\nchar *s = \"é\"; int x = N; /* ü */\n";
+        assert_eq!(pp(src), "char *s = \"é\"; int x = 4; /* ü */\n");
+    }
+
+    #[test]
+    fn utf8_string_literals_compile_to_their_bytes() {
+        let obj = crate::compile(
+            "t.c",
+            "char s[] = \"café\";\n",
+            &crate::CompileOptions::default(),
+            &NoFiles,
+        )
+        .unwrap();
+        assert!(obj.data.iter().any(|d| d.init == b"caf\xc3\xa9\0"), "{:?}", obj.data);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// With no macro defined, directive-free text is returned as is,
+        /// whatever its quotes, escapes, comments and non-ASCII characters.
+        #[test]
+        fn macro_free_text_is_returned_unchanged(
+            lines in proptest::collection::vec("[a-z0-9_ \t\"'\\\\/*;(){}=é€ü😀]{0,40}", 0..8)
+        ) {
+            let src: String = lines.iter().map(|l| format!("{l}\n")).collect();
+            proptest::prop_assert_eq!(pp(&src), src);
+        }
     }
 
     #[test]

@@ -208,7 +208,8 @@ fn keyword(s: &str) -> Option<Tok> {
 /// Lex a full mini-C source string.
 pub fn lex(file: &str, src: &str) -> Result<Vec<Token>, CError> {
     let b = src.as_bytes();
-    let mut out = Vec::new();
+    // about one token per eight bytes: one or two doublings for most files
+    let mut out = Vec::with_capacity(b.len() / 8 + 1);
     let mut i = 0usize;
     let mut line = 1u32;
     let mut col = 1u32;

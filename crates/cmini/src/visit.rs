@@ -121,47 +121,68 @@ pub struct TuUses {
     pub statics: BTreeSet<String>,
 }
 
-/// Collect identifier references into `out`, flagging function names used
+/// Insert `n` into `set`, allocating only when it is new.
+fn insert_str(set: &mut BTreeSet<String>, n: &str) {
+    if !set.contains(n) {
+        set.insert(n.to_string());
+    }
+}
+
+/// One walk over a function body or global initializer: collects
+/// identifier references and direct callees, and flags function names used
 /// outside a direct-call callee position as address-taken.
-fn scan_expr(e: &Expr, funcs: &BTreeSet<String>, uses: &mut TuUses, in_callee: bool) {
-    match &e.kind {
-        ExprKind::Ident(n) => {
-            uses.referenced.insert(n.clone());
-            if !in_callee && funcs.contains(n) {
-                uses.address_taken.insert(n.clone());
+struct Scan<'a> {
+    funcs: &'a BTreeSet<String>,
+    uses: &'a mut TuUses,
+    /// Direct callees seen so far (bare-identifier callees, `__vararg`
+    /// excluded).
+    callees: BTreeSet<String>,
+}
+
+impl Scan<'_> {
+    fn expr(&mut self, e: &Expr, in_callee: bool) {
+        match &e.kind {
+            ExprKind::Ident(n) => {
+                insert_str(&mut self.uses.referenced, n);
+                if !in_callee && self.funcs.contains(n) {
+                    insert_str(&mut self.uses.address_taken, n);
+                }
             }
-        }
-        ExprKind::Call { callee, args } => {
-            scan_expr(callee, funcs, uses, matches!(callee.kind, ExprKind::Ident(_)));
-            for a in args {
-                scan_expr(a, funcs, uses, false);
+            ExprKind::Call { callee, args } => {
+                if let Some(n) = direct_callee(e) {
+                    insert_str(&mut self.callees, n);
+                }
+                self.expr(callee, matches!(callee.kind, ExprKind::Ident(_)));
+                for a in args {
+                    self.expr(a, false);
+                }
             }
+            ExprKind::Bin { lhs, rhs, .. } | ExprKind::Assign { lhs, rhs, .. } => {
+                self.expr(lhs, false);
+                self.expr(rhs, false);
+            }
+            ExprKind::Un { expr, .. }
+            | ExprKind::Cast { expr, .. }
+            | ExprKind::Deref(expr)
+            | ExprKind::AddrOf(expr)
+            | ExprKind::SizeofExpr(expr)
+            | ExprKind::IncDec { expr, .. }
+            | ExprKind::VarArg(expr) => self.expr(expr, false),
+            ExprKind::Cond { cond, then_e, else_e } => {
+                self.expr(cond, false);
+                self.expr(then_e, false);
+                self.expr(else_e, false);
+            }
+            ExprKind::Index { base, index } => {
+                self.expr(base, false);
+                self.expr(index, false);
+            }
+            ExprKind::Member { base, .. } => self.expr(base, false),
+            ExprKind::IntLit(_)
+            | ExprKind::CharLit(_)
+            | ExprKind::StrLit(_)
+            | ExprKind::SizeofType(_) => {}
         }
-        ExprKind::Bin { lhs, rhs, .. } | ExprKind::Assign { lhs, rhs, .. } => {
-            scan_expr(lhs, funcs, uses, false);
-            scan_expr(rhs, funcs, uses, false);
-        }
-        ExprKind::Un { expr, .. }
-        | ExprKind::Cast { expr, .. }
-        | ExprKind::Deref(expr)
-        | ExprKind::AddrOf(expr)
-        | ExprKind::SizeofExpr(expr)
-        | ExprKind::IncDec { expr, .. }
-        | ExprKind::VarArg(expr) => scan_expr(expr, funcs, uses, false),
-        ExprKind::Cond { cond, then_e, else_e } => {
-            scan_expr(cond, funcs, uses, false);
-            scan_expr(then_e, funcs, uses, false);
-            scan_expr(else_e, funcs, uses, false);
-        }
-        ExprKind::Index { base, index } => {
-            scan_expr(base, funcs, uses, false);
-            scan_expr(index, funcs, uses, false);
-        }
-        ExprKind::Member { base, .. } => scan_expr(base, funcs, uses, false),
-        ExprKind::IntLit(_)
-        | ExprKind::CharLit(_)
-        | ExprKind::StrLit(_)
-        | ExprKind::SizeofType(_) => {}
     }
 }
 
@@ -177,27 +198,14 @@ pub fn direct_callee(e: &Expr) -> Option<&str> {
     }
 }
 
-fn func_body_calls(f: &FuncDef, out: &mut BTreeSet<String>) {
-    if let Some(body) = &f.body {
-        for s in body {
-            visit_stmt_exprs(s, &mut |e| {
-                visit_expr(e, &mut |sub| {
-                    if let Some(n) = direct_callee(sub) {
-                        out.insert(n.to_string());
-                    }
-                });
-            });
-        }
-    }
-}
-
 /// Compute [`TuUses`] for one translation unit.
 pub fn tu_uses(tu: &TranslationUnit) -> TuUses {
     let mut uses = TuUses::default();
+    let mut funcs = BTreeSet::new();
     for item in &tu.items {
         match item {
             Item::Func(f) if f.body.is_some() => {
-                uses.defined_funcs.insert(f.name.clone());
+                funcs.insert(f.name.clone());
                 if f.varargs {
                     uses.varargs_funcs.insert(f.name.clone());
                 }
@@ -211,47 +219,50 @@ pub fn tu_uses(tu: &TranslationUnit) -> TuUses {
             _ => {}
         }
     }
-    let funcs = uses.defined_funcs.clone();
     for item in &tu.items {
+        let mut scan = Scan { funcs: &funcs, uses: &mut uses, callees: BTreeSet::new() };
         match item {
-            Item::Func(f) => {
-                if let Some(body) = &f.body {
-                    let mut callees = BTreeSet::new();
-                    func_body_calls(f, &mut callees);
-                    if callees.contains(&f.name) {
-                        uses.self_recursive.insert(f.name.clone());
-                    }
-                    uses.calls.entry(f.name.clone()).or_default().extend(callees);
-                    for s in body {
-                        visit_stmt_exprs(s, &mut |e| scan_expr(e, &funcs, &mut uses, false));
-                    }
+            Item::Func(FuncDef { name, body: Some(body), .. }) => {
+                for s in body {
+                    visit_stmt_exprs(s, &mut |e| scan.expr(e, false));
                 }
+                let callees = scan.callees;
+                if callees.contains(name) {
+                    uses.self_recursive.insert(name.clone());
+                }
+                uses.calls.entry(name.clone()).or_default().extend(callees);
             }
             Item::Global(g) => {
                 if let Some(init) = &g.init {
-                    visit_init_exprs(init, &mut |e| scan_expr(e, &funcs, &mut uses, false));
+                    visit_init_exprs(init, &mut |e| scan.expr(e, false));
                 }
             }
-            Item::Struct(_) => {}
+            Item::Func(_) | Item::Struct(_) => {}
         }
     }
+    uses.defined_funcs = funcs;
     uses
 }
 
 /// Merge `other` into `acc` (for units spanning several files). Call
 /// graphs union per function; `statics` keeps names defined in *either*
 /// file, and the caller can detect cross-file collisions by intersecting
-/// per-file results before merging.
-pub fn merge_uses(acc: &mut TuUses, other: &TuUses) {
-    acc.referenced.extend(other.referenced.iter().cloned());
-    for (f, callees) in &other.calls {
-        acc.calls.entry(f.clone()).or_default().extend(callees.iter().cloned());
+/// per-file results before merging. Sets are moved, not copied: merging
+/// into an empty `acc` (a unit's first file) is a swap per set.
+pub fn merge_uses(acc: &mut TuUses, mut other: TuUses) {
+    acc.referenced.append(&mut other.referenced);
+    if acc.calls.is_empty() {
+        acc.calls = other.calls;
+    } else {
+        for (f, mut callees) in other.calls {
+            acc.calls.entry(f).or_default().append(&mut callees);
+        }
     }
-    acc.address_taken.extend(other.address_taken.iter().cloned());
-    acc.defined_funcs.extend(other.defined_funcs.iter().cloned());
-    acc.varargs_funcs.extend(other.varargs_funcs.iter().cloned());
-    acc.self_recursive.extend(other.self_recursive.iter().cloned());
-    acc.statics.extend(other.statics.iter().cloned());
+    acc.address_taken.append(&mut other.address_taken);
+    acc.defined_funcs.append(&mut other.defined_funcs);
+    acc.varargs_funcs.append(&mut other.varargs_funcs);
+    acc.self_recursive.append(&mut other.self_recursive);
+    acc.statics.append(&mut other.statics);
 }
 
 #[cfg(test)]

@@ -49,12 +49,15 @@ use std::sync::Arc;
 
 use cmini::ast::{Item, Storage};
 use cmini::visit::{merge_uses, tu_uses, TuUses};
-use knit_lang::ast::{PragmaLevel, UnitDecl};
+use cobj::fnv::FnvMap;
+use knit_lang::ast::{AtomicBody, PragmaLevel, UnitDecl};
+use knit_lang::token::Span;
 
 use crate::diag::{self, Diagnostic, Severity};
 use crate::driver::{atomic_body, c_id, read_unit, BuildOptions, FileInput};
 use crate::elaborate::{elaborate, Elaboration, Wire};
 use crate::error::KnitError;
+use crate::intern::Sym;
 use crate::model::Program;
 use crate::sched::{self, Schedule};
 use crate::session::{fp_unit_decl, PhaseCount};
@@ -156,16 +159,17 @@ pub const LINTS: &[Lint] = &[
     },
 ];
 
-/// Normalize a lint name: pragmas use `_` (the `.unit` lexer has no `-`
-/// token), the CLI and registry use `-`; both spellings resolve.
-fn norm(name: &str) -> String {
-    name.replace('-', "_")
+/// Whether two lint names are equal once `-` and `_` are identified:
+/// pragmas use `_` (the `.unit` lexer has no `-` token), the CLI and
+/// registry use `-`; both spellings resolve.
+fn same_lint_name(a: &str, b: &str) -> bool {
+    let sep = |c: u8| c == b'-' || c == b'_';
+    a.len() == b.len() && a.bytes().zip(b.bytes()).all(|(x, y)| x == y || (sep(x) && sep(y)))
 }
 
 /// Look up a lint by name, accepting either separator style.
 pub fn lint_by_name(name: &str) -> Option<&'static Lint> {
-    let n = norm(name);
-    LINTS.iter().find(|l| norm(l.name) == n)
+    LINTS.iter().find(|l| same_lint_name(l.name, name))
 }
 
 /// Per-run lint configuration: CLI-level overrides plus `--deny warnings`.
@@ -204,9 +208,8 @@ impl LintConfig {
     /// then the unit's pragmas in declaration order, then CLI overrides.
     fn level_for(&self, lint: &Lint, unit: &UnitDecl) -> LintLevel {
         let mut level = lint.default_level;
-        let lint_norm = norm(lint.name);
         for p in &unit.pragmas {
-            if p.lints.iter().any(|n| norm(n) == lint_norm) {
+            if p.lints.iter().any(|n| same_lint_name(n, lint.name)) {
                 level = match p.level {
                     PragmaLevel::Allow => LintLevel::Allow,
                     PragmaLevel::Warn => LintLevel::Warn,
@@ -279,7 +282,7 @@ pub(crate) fn summarize_unit(
                 summary.static_collisions.insert(s.clone());
             }
         }
-        merge_uses(&mut summary.uses, &uses);
+        merge_uses(&mut summary.uses, uses);
         parsed.push(tu);
     }
     summary.race = race::race_summary(&parsed);
@@ -323,6 +326,62 @@ pub(crate) struct AnalysisMemo {
     pub(crate) summary: Arc<UnitSummary>,
 }
 
+/// The session's memoized summaries, by unit name.
+pub(crate) type AnalysisMemos = FnvMap<Sym, AnalysisMemo>;
+
+/// One distinct unit of an elaboration, with what the lint passes read
+/// of it.
+pub(crate) struct UnitEntry<'a> {
+    pub(crate) decl: &'a UnitDecl,
+    pub(crate) body: &'a AtomicBody,
+    /// Where the unit is declared: `(file, position)`.
+    pub(crate) site: Option<(&'a str, Span)>,
+    pub(crate) summary: Arc<UnitSummary>,
+}
+
+impl UnitEntry<'_> {
+    /// The span of the unit declaration itself.
+    pub(crate) fn span(&self) -> Option<(String, u32, u32)> {
+        self.site.map(|(f, s)| (f.to_string(), s.line, s.col))
+    }
+
+    /// The span of a port or initializer of the unit.
+    fn span_at(&self, s: Span) -> Option<(String, u32, u32)> {
+        self.site.map(|(f, _)| (f.to_string(), s.line, s.col))
+    }
+}
+
+/// The indexed tables every lint pass reads: `units` in the order of
+/// [`Elaboration::by_unit`] (unit-name order), and `unit_of` mapping each
+/// instance id to its unit's index, so no pass looks a unit up by name.
+pub(crate) struct LintCx<'a> {
+    pub(crate) el: &'a Elaboration,
+    pub(crate) config: &'a LintConfig,
+    pub(crate) units: Vec<UnitEntry<'a>>,
+    unit_of: Vec<usize>,
+    /// Bundle type name -> members: [`Program::members_of`] as a hash
+    /// table, probed once per port by the per-unit and per-instance
+    /// passes.
+    members: FnvMap<&'a str, &'a [String]>,
+}
+
+impl<'a> LintCx<'a> {
+    /// The index in `units` of instance `id`'s unit.
+    pub(crate) fn unit_index(&self, id: usize) -> usize {
+        self.unit_of[id]
+    }
+
+    /// The unit of instance `id`.
+    pub(crate) fn unit(&self, id: usize) -> &UnitEntry<'a> {
+        &self.units[self.unit_of[id]]
+    }
+
+    /// The members of a port's bundle type (none if it is unknown).
+    pub(crate) fn members_of(&self, bundle_type: &str) -> &'a [String] {
+        self.members.get(bundle_type).copied().unwrap_or_default()
+    }
+}
+
 /// Summarize every instantiated unit (through `memo`) and run the lint
 /// passes. `counts` tallies per-unit summary runs vs reuses.
 #[allow(clippy::too_many_arguments)]
@@ -333,38 +392,63 @@ pub(crate) fn run_analysis(
     config: &LintConfig,
     el: &Elaboration,
     schedule: &Schedule,
-    memo: &mut BTreeMap<String, AnalysisMemo>,
+    memo: &mut AnalysisMemos,
     counts: &mut PhaseCount,
 ) -> Result<AnalysisReport, KnitError> {
-    let distinct: BTreeSet<&str> = el.instances.iter().map(|i| i.unit.as_str()).collect();
-    let mut summaries: BTreeMap<&str, Arc<UnitSummary>> = BTreeMap::new();
-    // split memo hits from misses, then summarize the misses on up to
-    // `opts.jobs` scoped threads; merging by index keeps the result (and
-    // the first reported error) identical to the serial name-order loop
-    let mut misses: Vec<(&str, u64)> = Vec::new();
-    for name in &distinct {
+    let names: Vec<Sym> = el.by_unit.keys().copied().collect();
+    // fingerprint each unit on up to `opts.jobs` scoped threads, reusing
+    // its memoized summary on a match and summarizing it otherwise (a
+    // fresh summary comes back with its fingerprint); merging by index
+    // keeps the result (and the first reported error) identical to the
+    // serial name-order loop
+    let seen = &*memo;
+    let found = crate::driver::run_indexed(opts.jobs, names.len(), |i| {
+        let name = names[i].as_str();
         let decl_fp = fp_unit_decl(program, name, opts);
-        if let Some(m) = memo.get(*name) {
-            if m.decl_fp == decl_fp {
+        let (fresh, summary) = match seen.get(name) {
+            Some(m) if m.decl_fp == decl_fp => (None, Arc::clone(&m.summary)),
+            _ => (Some(decl_fp), Arc::new(summarize_unit(program, tree, name, opts)?)),
+        };
+        let decl = &program.units[name];
+        let site = program.unit_site(name);
+        Ok((fresh, UnitEntry { decl, body: atomic_body(decl), site, summary }))
+    });
+    let mut units = Vec::with_capacity(names.len());
+    let mut first_err = None;
+    memo.reserve(names.len().saturating_sub(memo.len()));
+    for (name, found) in names.into_iter().zip(found) {
+        match found {
+            Ok((None, unit)) => {
                 counts.reuses += 1;
-                summaries.insert(name, Arc::clone(&m.summary));
-                continue;
+                units.push(unit);
+            }
+            _ if first_err.is_some() => {}
+            Ok((Some(decl_fp), unit)) => {
+                counts.runs += 1;
+                memo.insert(name, AnalysisMemo { decl_fp, summary: Arc::clone(&unit.summary) });
+                units.push(unit);
+            }
+            Err(e) => {
+                counts.runs += 1;
+                first_err = Some(e);
             }
         }
-        misses.push((name, decl_fp));
     }
-    let computed = crate::driver::run_indexed(opts.jobs, misses.len(), |i| {
-        summarize_unit(program, tree, misses[i].0, opts)
-    });
-    for ((name, decl_fp), summary) in misses.into_iter().zip(computed) {
-        counts.runs += 1;
-        let summary = Arc::new(summary?);
-        memo.insert(name.to_string(), AnalysisMemo { decl_fp, summary: Arc::clone(&summary) });
-        summaries.insert(name, summary);
+    if let Some(e) = first_err {
+        return Err(e);
     }
-    let mut diagnostics = run_lints(program, el, schedule, opts, &summaries, config);
+    let mut unit_of = vec![0; el.instances.len()];
+    for (i, ids) in el.by_unit.values().enumerate() {
+        for &id in ids {
+            unit_of[id] = i;
+        }
+    }
+    let members =
+        program.bundletypes.iter().map(|(name, ms)| (name.as_str(), ms.as_slice())).collect();
+    let cx = LintCx { el, config, units, unit_of, members };
+    let mut diagnostics = run_lints(&cx, schedule, opts);
     diag::sort_dedupe(&mut diagnostics);
-    Ok(AnalysisReport { diagnostics, units_analyzed: distinct.len() })
+    Ok(AnalysisReport { diagnostics, units_analyzed: cx.units.len() })
 }
 
 /// One-shot analysis: elaborate, schedule, and lint `opts.root`.
@@ -376,7 +460,7 @@ pub fn lint(
 ) -> Result<AnalysisReport, KnitError> {
     let el = elaborate(program, &opts.root)?;
     let schedule = sched::schedule(program, &el)?;
-    let mut memo = BTreeMap::new();
+    let mut memo = AnalysisMemos::default();
     let mut counts = PhaseCount::default();
     run_analysis(program, tree, opts, config, &el, &schedule, &mut memo, &mut counts)
 }
@@ -404,14 +488,17 @@ fn emit(
 /// Names of every function transitively reachable from `start` through
 /// the direct-call graph (including undefined callees — those are the
 /// imports we care about).
-fn reachable_calls(calls: &BTreeMap<String, BTreeSet<String>>, start: &str) -> BTreeSet<String> {
-    let mut seen: BTreeSet<String> = BTreeSet::new();
-    let mut work = vec![start.to_string()];
+fn reachable_calls<'a>(
+    calls: &'a BTreeMap<String, BTreeSet<String>>,
+    start: &str,
+) -> BTreeSet<&'a str> {
+    let mut seen: BTreeSet<&str> = BTreeSet::new();
+    let mut work = vec![start];
     while let Some(f) = work.pop() {
-        if let Some(callees) = calls.get(&f) {
+        if let Some(callees) = calls.get(f) {
             for c in callees {
-                if seen.insert(c.clone()) {
-                    work.push(c.clone());
+                if seen.insert(c) {
+                    work.push(c);
                 }
             }
         }
@@ -419,212 +506,219 @@ fn reachable_calls(calls: &BTreeMap<String, BTreeSet<String>>, start: &str) -> B
     seen
 }
 
-fn span_in(file: Option<&str>, s: knit_lang::token::Span) -> Option<(String, u32, u32)> {
-    file.map(|f| (f.to_string(), s.line, s.col))
-}
-
-fn run_lints(
-    program: &Program,
-    el: &Elaboration,
-    schedule: &Schedule,
-    opts: &BuildOptions,
-    summaries: &BTreeMap<&str, Arc<UnitSummary>>,
-    config: &LintConfig,
-) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-
-    // --- per-unit lints: K1001 undefined-export, K1002 unused-import ---
-    for (unit_name, summary) in summaries {
-        let unit = &program.units[*unit_name];
-        let body = atomic_body(unit);
-        let file = program.unit_site(unit_name).map(|(f, _)| f);
-        for p in &unit.exports {
-            for m in program.members_of(&p.bundle_type).unwrap_or_default() {
-                let cid = c_id(body, &p.name, m);
-                if !summary.defined.contains(cid) {
-                    emit(
-                        &mut diags,
-                        config,
-                        "K1001",
-                        unit,
-                        span_in(file, p.span),
-                        format!(
-                            "unit `{unit_name}`: export `{}.{m}` resolves to C symbol \
-                             `{cid}`, but no file of the unit defines it",
-                            p.name
-                        ),
-                        vec![format!(
-                            "define `{cid}` in one of {{ {} }} or rename the member",
-                            body.files.join(", ")
-                        )],
-                    );
-                }
-            }
-        }
-        for p in &unit.imports {
-            for m in program.members_of(&p.bundle_type).unwrap_or_default() {
-                let cid = c_id(body, &p.name, m);
-                if !summary.uses.referenced.contains(cid) {
-                    emit(
-                        &mut diags,
-                        config,
-                        "K1002",
-                        unit,
-                        span_in(file, p.span),
-                        format!(
-                            "unit `{unit_name}`: imported symbol `{}.{m}` (C `{cid}`) is \
-                             never referenced",
-                            p.name
-                        ),
-                        vec![format!("drop the import `{}` or use `{cid}`", p.name)],
-                    );
-                }
-            }
-        }
-    }
-
-    // --- K1003 dead-export: graph-level liveness of instance exports ---
-    let mut used: BTreeSet<(usize, &str)> = BTreeSet::new();
+/// Run every lint pass in one fan-out over `opts.jobs`: task 0 is the
+/// cross-instance race evaluation (the largest single task, so it is
+/// claimed first), then one task per unit (K1001, K1002, K1005, K1008)
+/// and one per instance (K1003, K1004). Tasks come back in index order,
+/// so the findings of each code keep the serial passes' unit and
+/// instance order; [`diag::sort_dedupe`]'s key includes the code and its
+/// sort is stable, so the canonical stream is the serial one.
+fn run_lints(cx: &LintCx<'_>, schedule: &Schedule, opts: &BuildOptions) -> Vec<Diagnostic> {
+    let el = cx.el;
+    // K1003: the exports of each instance that an import or the root uses
+    let mut used: Vec<Vec<Sym>> = vec![Vec::new(); el.instances.len()];
     for inst in &el.instances {
         for w in inst.imports.values() {
             if let Wire::Export { instance, port } = w {
-                used.insert((*instance, port.as_str()));
+                used[*instance].push(*port);
             }
         }
     }
     for (inst, port) in el.root_exports.values() {
-        used.insert((*inst, port.as_str()));
+        used[*inst].push(*port);
     }
-    for inst in &el.instances {
-        let unit = &program.units[inst.unit.as_str()];
-        let file = program.unit_site(&inst.unit).map(|(f, _)| f);
-        for p in &unit.exports {
-            if !used.contains(&(inst.id, p.name.as_str())) {
+    // K1004: each instance's initializers, with their schedule positions
+    let mut init_pos: Vec<Vec<(&str, usize)>> = vec![Vec::new(); el.instances.len()];
+    for (i, (id, f)) in schedule.inits.iter().enumerate() {
+        init_pos[*id].push((f, i));
+    }
+    // K1005: the units with an instance in a flatten group
+    let mut flat = vec![false; cx.units.len()];
+    if opts.flatten {
+        for id in el.flatten_groups.iter().flatten() {
+            flat[cx.unit_of[*id]] = true;
+        }
+    }
+    let nu = cx.units.len();
+    let found = crate::driver::run_indexed(opts.jobs, 1 + nu + el.instances.len(), |t| {
+        let mut out = Vec::new();
+        if t == 0 {
+            race::shared_races(cx, &mut out);
+        } else if t <= nu {
+            unit_lints(cx, &cx.units[t - 1], flat[t - 1], &mut out);
+        } else {
+            instance_lints(cx, t - 1 - nu, &used, &init_pos, &mut out);
+        }
+        out
+    });
+    found.into_iter().flatten().collect()
+}
+
+/// The per-unit passes: K1001 undefined-export, K1002 unused-import,
+/// K1005 flatten-hazard when the unit is flattened, and K1008 lock-leak.
+fn unit_lints(cx: &LintCx<'_>, u: &UnitEntry<'_>, flat: bool, out: &mut Vec<Diagnostic>) {
+    let (config, unit, body) = (cx.config, u.decl, u.body);
+    let unit_name = &unit.name;
+    let summary = &*u.summary;
+    for p in &unit.exports {
+        for m in cx.members_of(&p.bundle_type) {
+            let cid = c_id(body, &p.name, m);
+            if !summary.defined.contains(cid) {
                 emit(
-                    &mut diags,
+                    out,
                     config,
-                    "K1003",
+                    "K1001",
                     unit,
-                    span_in(file, p.span),
+                    u.span_at(p.span),
                     format!(
-                        "instance `{}`: export `{}` is never imported by any instance \
-                         and is not a root export",
-                        inst.path, p.name
+                        "unit `{unit_name}`: export `{}.{m}` resolves to C symbol \
+                         `{cid}`, but no file of the unit defines it",
+                        p.name
                     ),
-                    vec!["remove the instance or wire something to the export".to_string()],
+                    vec![format!(
+                        "define `{cid}` in one of {{ {} }} or rename the member",
+                        body.files.join(", ")
+                    )],
+                );
+            }
+        }
+    }
+    for p in &unit.imports {
+        for m in cx.members_of(&p.bundle_type) {
+            let cid = c_id(body, &p.name, m);
+            if !summary.uses.referenced.contains(cid) {
+                emit(
+                    out,
+                    config,
+                    "K1002",
+                    unit,
+                    u.span_at(p.span),
+                    format!(
+                        "unit `{unit_name}`: imported symbol `{}.{m}` (C `{cid}`) is \
+                         never referenced",
+                        p.name
+                    ),
+                    vec![format!("drop the import `{}` or use `{cid}`", p.name)],
                 );
             }
         }
     }
 
-    // --- K1004 init-order-use: initializer call graph vs schedule ---
-    let pos: BTreeMap<(usize, &str), usize> =
-        schedule.inits.iter().enumerate().map(|(i, (id, f))| ((*id, f.as_str()), i)).collect();
-    for inst in &el.instances {
-        let unit = &program.units[inst.unit.as_str()];
-        let body = atomic_body(unit);
-        let file = program.unit_site(&inst.unit).map(|(f, _)| f);
-        let Some(summary) = summaries.get(inst.unit.as_str()) else { continue };
-        for init in &body.initializers {
-            let Some(&my_pos) = pos.get(&(inst.id, init.func.as_str())) else { continue };
-            let reach = reachable_calls(&summary.uses.calls, &init.func);
-            for p in &unit.imports {
-                let Some(Wire::Export { instance: prov, port }) = inst.imports.get(p.name.as_str())
-                else {
+    // K1005 flatten-hazard: inliner bail conditions in flatten groups
+    if flat {
+        let mut hazard = |what: String, why: &str| {
+            emit(
+                out,
+                config,
+                "K1005",
+                unit,
+                u.span(),
+                format!("unit `{unit_name}` (in a flatten group): {what}"),
+                vec![why.to_string()],
+            );
+        };
+        for f in &summary.uses.varargs_funcs {
+            hazard(
+                format!("function `{f}` takes varargs"),
+                "the flattening inliner never inlines vararg functions",
+            );
+        }
+        for f in &summary.uses.address_taken {
+            hazard(
+                format!("the address of function `{f}` is taken"),
+                "calls through a function pointer defeat cross-unit inlining",
+            );
+        }
+        for f in &summary.uses.self_recursive {
+            hazard(
+                format!("function `{f}` is self-recursive"),
+                "the inliner bails on recursive calls",
+            );
+        }
+        for s in &summary.static_collisions {
+            hazard(
+                format!("static `{s}` is defined in more than one file of the unit"),
+                "flattening merges the unit's files; same-named statics are \
+                 collision-prone under source merging",
+            );
+        }
+    }
+
+    race::lock_leaks(cx, u, out);
+}
+
+/// The per-instance passes: K1003 dead-export (graph-level liveness of
+/// the instance's exports) and K1004 init-order-use (its initializers'
+/// call graphs against the schedule).
+fn instance_lints(
+    cx: &LintCx<'_>,
+    id: usize,
+    used: &[Vec<Sym>],
+    init_pos: &[Vec<(&str, usize)>],
+    out: &mut Vec<Diagnostic>,
+) {
+    let (el, config) = (cx.el, cx.config);
+    let inst = &el.instances[id];
+    let u = cx.unit(id);
+    let (unit, body) = (u.decl, u.body);
+    for p in &unit.exports {
+        if !used[id].iter().any(|port| *port == p.name) {
+            emit(
+                out,
+                config,
+                "K1003",
+                unit,
+                u.span_at(p.span),
+                format!(
+                    "instance `{}`: export `{}` is never imported by any instance \
+                     and is not a root export",
+                    inst.path, p.name
+                ),
+                vec!["remove the instance or wire something to the export".to_string()],
+            );
+        }
+    }
+
+    let pos = |id: usize, func: &str| init_pos[id].iter().rfind(|(f, _)| *f == func).map(|p| p.1);
+    for init in &body.initializers {
+        let Some(my_pos) = pos(id, &init.func) else { continue };
+        let reach = reachable_calls(&u.summary.uses.calls, &init.func);
+        for p in &unit.imports {
+            let Some(Wire::Export { instance: prov, port }) = inst.imports.get(p.name.as_str())
+            else {
+                continue;
+            };
+            for m in cx.members_of(&p.bundle_type) {
+                let cid = c_id(body, &p.name, m);
+                if !reach.contains(cid) {
                     continue;
-                };
-                for m in program.members_of(&p.bundle_type).unwrap_or_default() {
-                    let cid = c_id(body, &p.name, m);
-                    if !reach.contains(cid) {
-                        continue;
-                    }
-                    let prov_inst = &el.instances[*prov];
-                    let prov_body = atomic_body(&program.units[prov_inst.unit.as_str()]);
-                    for pi in prov_body.initializers.iter().filter(|pi| &pi.bundle == port) {
-                        if let Some(&ppos) = pos.get(&(*prov, pi.func.as_str())) {
-                            if ppos > my_pos {
-                                emit(
-                                    &mut diags,
-                                    config,
-                                    "K1004",
-                                    unit,
-                                    span_in(file, init.span),
-                                    format!(
-                                        "instance `{}`: initializer `{}` reaches a call to \
-                                         imported `{}.{m}` (C `{cid}`), but provider `{}`'s \
-                                         initializer `{}` is scheduled later",
-                                        inst.path, init.func, p.name, prov_inst.path, pi.func
-                                    ),
-                                    vec![format!(
-                                        "add `depends {{ {} needs ({}); }}` to unit `{}` so \
-                                         the scheduler runs `{}` first",
-                                        init.func, p.name, inst.unit, pi.func
-                                    )],
-                                );
-                            }
-                        }
+                }
+                let prov_inst = &el.instances[*prov];
+                for pi in cx.unit(*prov).body.initializers.iter().filter(|pi| &pi.bundle == port) {
+                    if pos(*prov, &pi.func).is_some_and(|ppos| ppos > my_pos) {
+                        emit(
+                            out,
+                            config,
+                            "K1004",
+                            unit,
+                            u.span_at(init.span),
+                            format!(
+                                "instance `{}`: initializer `{}` reaches a call to \
+                                 imported `{}.{m}` (C `{cid}`), but provider `{}`'s \
+                                 initializer `{}` is scheduled later",
+                                inst.path, init.func, p.name, prov_inst.path, pi.func
+                            ),
+                            vec![format!(
+                                "add `depends {{ {} needs ({}); }}` to unit `{}` so \
+                                 the scheduler runs `{}` first",
+                                init.func, p.name, inst.unit, pi.func
+                            )],
+                        );
                     }
                 }
             }
         }
     }
-
-    // --- K1005 flatten-hazard: inliner bail conditions in flatten groups ---
-    if opts.flatten {
-        let mut flat_units: BTreeSet<&str> = BTreeSet::new();
-        for group in &el.flatten_groups {
-            for id in group {
-                flat_units.insert(el.instances[*id].unit.as_str());
-            }
-        }
-        for unit_name in flat_units {
-            let unit = &program.units[unit_name];
-            let Some(summary) = summaries.get(unit_name) else { continue };
-            let site = program.unit_site(unit_name);
-            let span = site.map(|(f, s)| (f.to_string(), s.line, s.col));
-            let mut hazard = |what: String, why: &str| {
-                emit(
-                    &mut diags,
-                    config,
-                    "K1005",
-                    unit,
-                    span.clone(),
-                    format!("unit `{unit_name}` (in a flatten group): {what}"),
-                    vec![why.to_string()],
-                );
-            };
-            for f in &summary.uses.varargs_funcs {
-                hazard(
-                    format!("function `{f}` takes varargs"),
-                    "the flattening inliner never inlines vararg functions",
-                );
-            }
-            for f in &summary.uses.address_taken {
-                hazard(
-                    format!("the address of function `{f}` is taken"),
-                    "calls through a function pointer defeat cross-unit inlining",
-                );
-            }
-            for f in &summary.uses.self_recursive {
-                hazard(
-                    format!("function `{f}` is self-recursive"),
-                    "the inliner bails on recursive calls",
-                );
-            }
-            for s in &summary.static_collisions {
-                hazard(
-                    format!("static `{s}` is defined in more than one file of the unit"),
-                    "flattening merges the unit's files; same-named statics are \
-                     collision-prone under source merging",
-                );
-            }
-        }
-    }
-
-    // --- K1006–K1009: the cross-unit lockset race analysis ---
-    race::run_race_lints(program, el, summaries, config, &mut diags);
-
-    diags
 }
 
 #[cfg(test)]

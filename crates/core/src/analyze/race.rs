@@ -16,7 +16,7 @@
 //!    and assigns it a nonzero constant (`L = 1`), the idiom of
 //!    `sync_spin.c` and the Clack `SharedQueue`.
 //!
-//! 2. **Per-elaboration evaluation** ([`run_race_lints`]): each root
+//! 2. **Per-elaboration evaluation** ([`shared_races`]): each root
 //!    export port of the composition is one concurrently-drivable entry
 //!    closure (the multi-core harness drives `router0..routerN` round-
 //!    robin). Statics of an instance reachable from ≥ 2 entries are
@@ -53,16 +53,14 @@
 //! and accesses in code only reachable from initializers.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 use cmini::ast::{Expr, ExprKind, Item, Stmt, TranslationUnit, Type};
 
 use crate::diag::Diagnostic;
-use crate::driver::{atomic_body, c_id};
-use crate::elaborate::{Elaboration, Wire};
-use crate::model::Program;
+use crate::driver::c_id;
+use crate::elaborate::Wire;
 
-use super::{emit, LintConfig, UnitSummary};
+use super::{emit, LintCx, UnitEntry};
 
 /// One step of a function's lock-relevant skeleton, in evaluation order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,12 +125,11 @@ pub(crate) fn race_summary(tus: &[TranslationUnit]) -> RaceSummary {
     }
     let mut spin_conds: BTreeSet<String> = BTreeSet::new();
     let mut const_assigned: BTreeSet<String> = BTreeSet::new();
-    for tu in tus {
-        for f in tu.funcs() {
-            if let Some(body) = &f.body {
-                for s in body {
-                    scan_idiom(s, &mut spin_conds, &mut const_assigned);
-                }
+    // only a scalar static can be a lock: with none, skip the idiom scan
+    if statics.values().any(|d| *d == 0) {
+        for f in tus.iter().flat_map(|tu| tu.funcs()) {
+            for s in f.body.iter().flatten() {
+                scan_idiom(s, &mut spin_conds, &mut const_assigned);
             }
         }
     }
@@ -577,68 +574,57 @@ struct Fact {
 
 /// Call resolution and skeleton lookup for the instance graph.
 struct Graph<'a> {
-    program: &'a Program,
-    el: &'a Elaboration,
-    summaries: &'a BTreeMap<&'a str, Arc<UnitSummary>>,
+    cx: &'a LintCx<'a>,
     /// Per instance: import C symbol -> (provider instance, callee name).
     import_map: Vec<BTreeMap<String, Node>>,
 }
 
 impl<'a> Graph<'a> {
-    fn new(
-        program: &'a Program,
-        el: &'a Elaboration,
-        summaries: &'a BTreeMap<&'a str, Arc<UnitSummary>>,
-    ) -> Graph<'a> {
-        let mut import_map = Vec::with_capacity(el.instances.len());
-        for inst in &el.instances {
-            let unit = &program.units[inst.unit.as_str()];
-            let body = atomic_body(unit);
+    fn new(cx: &'a LintCx<'a>) -> Graph<'a> {
+        let mut import_map = Vec::with_capacity(cx.el.instances.len());
+        for inst in &cx.el.instances {
+            let u = cx.unit(inst.id);
             let mut map = BTreeMap::new();
-            for p in &unit.imports {
+            for p in &u.decl.imports {
                 let Some(Wire::Export { instance: prov, port }) = inst.imports.get(p.name.as_str())
                 else {
                     continue;
                 };
-                let prov_unit = &program.units[el.instances[*prov].unit.as_str()];
-                let prov_body = atomic_body(prov_unit);
-                for m in program.members_of(&p.bundle_type).unwrap_or_default() {
-                    let cid = c_id(body, &p.name, m);
+                let prov_body = cx.unit(*prov).body;
+                for m in cx.members_of(&p.bundle_type) {
+                    let cid = c_id(u.body, &p.name, m);
                     map.insert(cid.to_string(), (*prov, c_id(prov_body, port, m).to_string()));
                 }
             }
             import_map.push(map);
         }
-        Graph { program, el, summaries, import_map }
+        Graph { cx, import_map }
     }
 
-    fn race_of(&self, inst: usize) -> Option<&RaceSummary> {
-        let unit = self.el.instances[inst].unit.as_str();
-        self.summaries.get(unit).map(|s| &s.race)
+    fn race_of(&self, inst: usize) -> &'a RaceSummary {
+        &self.cx.unit(inst).summary.race
     }
 
     /// Resolve a `Call(name)` in `inst` to a node, if it lands on a
     /// function we have a skeleton for.
     fn resolve(&self, inst: usize, name: &str) -> Option<Node> {
-        let race = self.race_of(inst)?;
-        if race.funcs.contains_key(name) {
+        if self.race_of(inst).funcs.contains_key(name) {
             return Some((inst, name.to_string()));
         }
         let (prov, callee) = self.import_map[inst].get(name)?;
-        self.race_of(*prov)?.funcs.contains_key(callee).then(|| (*prov, callee.clone()))
+        self.race_of(*prov).funcs.contains_key(callee).then(|| (*prov, callee.clone()))
     }
 
     /// The entry nodes of each root export port: `port -> functions`.
     fn entries(&self) -> BTreeMap<String, Vec<Node>> {
         let mut out: BTreeMap<String, Vec<Node>> = BTreeMap::new();
-        for (root_port, (inst, port)) in &self.el.root_exports {
-            let unit = &self.program.units[self.el.instances[*inst].unit.as_str()];
-            let body = atomic_body(unit);
+        for (root_port, (inst, port)) in &self.cx.el.root_exports {
+            let u = self.cx.unit(*inst);
             let mut nodes = Vec::new();
-            for p in unit.exports.iter().filter(|p| &p.name == port) {
-                for m in self.program.members_of(&p.bundle_type).unwrap_or_default() {
-                    let f = c_id(body, port, m);
-                    if self.race_of(*inst).is_some_and(|r| r.funcs.contains_key(f)) {
+            for p in u.decl.exports.iter().filter(|p| &p.name == port) {
+                for m in self.cx.members_of(&p.bundle_type) {
+                    let f = c_id(u.body, port, m);
+                    if self.race_of(*inst).funcs.contains_key(f) {
                         nodes.push((*inst, f.to_string()));
                     }
                 }
@@ -783,46 +769,37 @@ impl Eval<'_> {
     }
 }
 
-/// Register the K1006–K1009 findings for this elaboration.
-pub(super) fn run_race_lints(
-    program: &Program,
-    el: &Elaboration,
-    summaries: &BTreeMap<&str, Arc<UnitSummary>>,
-    config: &LintConfig,
-    diags: &mut Vec<Diagnostic>,
-) {
-    // --- K1008 lock-leak: purely per-unit, fires in any composition ---
-    let distinct: BTreeSet<&str> = el.instances.iter().map(|i| i.unit.as_str()).collect();
-    for unit_name in &distinct {
-        let Some(summary) = summaries.get(unit_name) else { continue };
-        let unit = &program.units[*unit_name];
-        let file = program.unit_site(unit_name).map(|(f, _)| f);
-        let span = program.unit_site(unit_name).map(|(f, s)| (f.to_string(), s.line, s.col));
-        let _ = file;
-        for (func, lock) in local_leaks(&summary.race) {
-            emit(
-                diags,
-                config,
-                "K1008",
-                unit,
-                span.clone(),
-                format!(
-                    "unit `{unit_name}`: function `{func}` can return while still holding \
-                     lock `{lock}`"
-                ),
-                vec![format!(
-                    "release it (`{lock} = 0`) on every path to return, or \
-                     `#[allow(lock_leak)]` the unit if it is a lock provider"
-                )],
-            );
-        }
+/// K1008 lock-leak for one unit: purely per-unit, so it fires in any
+/// composition.
+pub(super) fn lock_leaks(cx: &LintCx<'_>, u: &UnitEntry<'_>, diags: &mut Vec<Diagnostic>) {
+    let unit_name = &u.decl.name;
+    for (func, lock) in local_leaks(&u.summary.race) {
+        emit(
+            diags,
+            cx.config,
+            "K1008",
+            u.decl,
+            u.span(),
+            format!(
+                "unit `{unit_name}`: function `{func}` can return while still holding \
+                 lock `{lock}`"
+            ),
+            vec![format!(
+                "release it (`{lock} = 0`) on every path to return, or \
+                 `#[allow(lock_leak)]` the unit if it is a lock provider"
+            )],
+        );
     }
+}
 
-    // --- K1006/K1007/K1009 need ≥ 2 concurrently drivable entries ---
+/// K1006/K1007/K1009 for this elaboration. They need ≥ 2 concurrently
+/// drivable entries.
+pub(super) fn shared_races(cx: &LintCx<'_>, diags: &mut Vec<Diagnostic>) {
+    let el = cx.el;
     if el.root_exports.len() < 2 {
         return;
     }
-    let graph = Graph::new(program, el, summaries);
+    let graph = Graph::new(cx);
     let entries = graph.entries();
 
     // Reachability: which entries reach each node.
@@ -834,8 +811,7 @@ pub(super) fn run_race_lints(
             if !set.insert(entry_name.as_str()) {
                 continue;
             }
-            let Some(race) = graph.race_of(node.0) else { continue };
-            let Some(ops) = race.funcs.get(&node.1) else { continue };
+            let Some(ops) = graph.race_of(node.0).funcs.get(&node.1) else { continue };
             let mut callees = BTreeSet::new();
             calls_in(ops, &mut callees);
             for g in callees {
@@ -849,8 +825,7 @@ pub(super) fn run_race_lints(
     // Shared statics: (instance, static) accessed from ≥ 2 entries.
     let mut static_entries: BTreeMap<(usize, String), BTreeSet<&str>> = BTreeMap::new();
     for (node, ents) in &reached_by {
-        let Some(race) = graph.race_of(node.0) else { continue };
-        let Some(ops) = race.funcs.get(&node.1) else { continue };
+        let Some(ops) = graph.race_of(node.0).funcs.get(&node.1) else { continue };
         let mut names = BTreeSet::new();
         accesses_in(ops, &mut names);
         for n in names {
@@ -872,8 +847,7 @@ pub(super) fn run_race_lints(
     for _ in 0..12 {
         let mut changed = false;
         for node in reached_by.keys() {
-            let Some(race) = graph.race_of(node.0) else { continue };
-            let Some(ops) = race.funcs.get(&node.1) else { continue };
+            let Some(ops) = graph.race_of(node.0).funcs.get(&node.1) else { continue };
             let next = xfer_of(ops, node.0, &graph, &transformers);
             if transformers.get(node) != Some(&next) {
                 transformers.insert(node.clone(), next);
@@ -906,18 +880,16 @@ pub(super) fn run_race_lints(
         if budget > 100_000 {
             break; // divergence backstop; meets only shrink, so unreachable
         }
-        let Some(race) = graph.race_of(node.0) else { continue };
-        let Some(ops) = race.funcs.get(&node.1).cloned() else { continue };
+        let Some(ops) = graph.race_of(node.0).funcs.get(&node.1) else { continue };
         let Some(Some(cur)) = eval.lockset_in.get(&node).cloned() else { continue };
-        eval.eval(node.0, &node.1, &ops, cur);
+        eval.eval(node.0, &node.1, ops, cur);
     }
     eval.recording = true;
     let nodes: Vec<Node> = eval.lockset_in.keys().cloned().collect();
     for node in nodes {
-        let Some(race) = graph.race_of(node.0) else { continue };
-        let Some(ops) = race.funcs.get(&node.1).cloned() else { continue };
+        let Some(ops) = graph.race_of(node.0).funcs.get(&node.1) else { continue };
         let Some(Some(cur)) = eval.lockset_in.get(&node).cloned() else { continue };
-        eval.eval(node.0, &node.1, &ops, cur);
+        eval.eval(node.0, &node.1, ops, cur);
     }
 
     // Verdicts, one diagnostic per (unit, static).
@@ -929,11 +901,11 @@ pub(super) fn run_race_lints(
         insts: BTreeSet<usize>,
         entries: BTreeSet<String>,
     }
-    let mut verdicts: BTreeMap<(String, String), Verdict> = BTreeMap::new();
+    // keyed by unit index: unit-name order, like the units table
+    let mut verdicts: BTreeMap<(usize, String), Verdict> = BTreeMap::new();
     for key in &shared {
         let Some(facts) = eval.facts.get(key) else { continue };
-        let unit = el.instances[key.0].unit;
-        let v = verdicts.entry((unit.to_string(), key.1.clone())).or_default();
+        let v = verdicts.entry((cx.unit_index(key.0), key.1.clone())).or_default();
         v.insts.insert(key.0);
         if let Some(ents) = static_entries.get(key) {
             v.entries.extend(ents.iter().map(|e| e.to_string()));
@@ -968,9 +940,9 @@ pub(super) fn run_race_lints(
     }
 
     let lock_name = |l: &LockId| format!("{}.{}", el.instances[l.0].path, l.1);
-    for ((unit_name, sname), v) in &verdicts {
-        let unit = &program.units[unit_name];
-        let span = program.unit_site(unit_name).map(|(f, s)| (f.to_string(), s.line, s.col));
+    for ((ui, sname), v) in &verdicts {
+        let u = &cx.units[*ui];
+        let (unit_name, unit, span) = (&u.decl.name, u.decl, u.span());
         let inst_note = || {
             format!(
                 "instances {{ {} }}, reachable from root exports {{ {} }}",
@@ -985,7 +957,7 @@ pub(super) fn run_race_lints(
         if let Some(f) = &v.k1006 {
             emit(
                 diags,
-                config,
+                cx.config,
                 "K1006",
                 unit,
                 span.clone(),
@@ -1012,7 +984,7 @@ pub(super) fn run_race_lints(
                 .collect();
             emit(
                 diags,
-                config,
+                cx.config,
                 "K1007",
                 unit,
                 span.clone(),
@@ -1026,7 +998,7 @@ pub(super) fn run_race_lints(
         } else if let Some(f) = &v.k1009 {
             emit(
                 diags,
-                config,
+                cx.config,
                 "K1009",
                 unit,
                 span.clone(),

@@ -79,7 +79,7 @@ fn usage() -> ! {
          \x20             [--connect <addr>] [--session <name>]\n\
          \x20             [-v] <file.unit>...\n\
          \x20      knitc lint --root <Unit> [--src <dir>]... [--allow <lint>]\n\
-         \x20             [--warn <lint>] [--deny <lint>|warnings]\n\
+         \x20             [--warn <lint>] [--deny <lint>|warnings] [--jobs <N>]\n\
          \x20             [--error-format <human|json>] <file.unit>...\n\
          \x20      knitc pgo-suggest --root <Unit> [--src <dir>]...\n\
          \x20             [--profile-use <file>] <file.unit>...\n\
@@ -90,8 +90,9 @@ fn usage() -> ! {
          resolved from the --src directories; --run executes the image on\n\
          the simulated machine and prints its console output\n\
          \n\
-         --jobs <N>  compile up to N units concurrently (default: all cores;\n\
-         \x20            the produced image is identical for every N)\n\
+         --jobs <N>  compile, or for `lint` analyze, up to N units\n\
+         \x20            concurrently (default: all cores; the image and the\n\
+         \x20            diagnostics are identical for every N)\n\
          --cache     rebuild once through a warm compile cache and report\n\
          \x20            the hit rate (demonstrates incremental rebuilds)\n\
          --watch     keep running: poll the .unit files and exactly the\n\
